@@ -19,18 +19,20 @@
 use ugraph::{NodeId, NodeOrder, UncertainGraph};
 use vulnds_bench::machine::{available_parallelism, detected_simd, emit_machine};
 use vulnds_bench::microbench::{bench, measure, JsonReport};
+use vulnds_bench::{forward_on_one_thread, reverse_on_one_thread};
 use vulnds_datasets::gen::{chung_lu, erdos, pref_attach};
 use vulnds_datasets::{attach_probabilities, ProbabilityModel};
 use vulnds_sampling::{
-    forward_counts_range_width, forward_counts_range_width_directed, forward_counts_range_with,
-    parallel_forward_counts, reverse_counts, reverse_counts_range_width, reverse_counts_range_with,
-    BlockKernel, BlockWords, CoinTable, CoinUsage, DefaultCounts, Direction, ForwardSampler,
-    PossibleWorld, ReverseSampler, ScalarCoins, WorldBlock, Xoshiro256pp, COIN_PRECISION, LANES,
+    forward_counts, reverse_counts, BlockKernel, BlockWords, CoinTable, DefaultCounts, Direction,
+    ForwardSampler, PossibleWorld, ReverseSampler, ScalarCoins, WorldBlock, Xoshiro256pp,
+    COIN_PRECISION, LANES,
 };
 
-/// Worlds per end-to-end measurement: one widest superblock, so every
-/// width runs the same fixed budget through one driver call.
-const WIDTH_BUDGET: u64 = (vulnds_sampling::MAX_BLOCK_WORDS * LANES) as u64;
+/// Worlds per end-to-end measurement: two widest superblocks, so every
+/// width runs the same fixed budget through one driver call — and a
+/// one-thread pass keeps even width 8 (`fit_width` narrows below two
+/// chunks per worker).
+const WIDTH_BUDGET: u64 = 2 * (vulnds_sampling::MAX_BLOCK_WORDS * LANES) as u64;
 
 struct Family {
     name: &'static str,
@@ -120,18 +122,29 @@ fn main() {
             counts.samples()
         });
         let block_e2e = measure(&format!("{name}/end_to_end/block_per_64_worlds"), || {
-            forward_counts_range_with(&g, &table, 0..LANES as u64, 43).0.samples()
+            forward_on_one_thread(
+                &g,
+                &table,
+                0..LANES as u64,
+                43,
+                BlockWords::W1,
+                Direction::default(),
+            )
+            .0
+            .samples()
         });
 
         // Per-width superblock rows: the same fixed budget (one widest
-        // superblock = 512 worlds) through each monomorphized width, so
+        // superblocks = 1024 worlds) through each monomorphized width, so
         // the width effect is isolated from call and allocation shape.
         let mut width_ns = Vec::new();
         for width in BlockWords::ALL {
-            let m =
-                measure(&format!("{name}/end_to_end/superblock_w{width}_per_512_worlds"), || {
-                    forward_counts_range_width(&g, &table, 0..WIDTH_BUDGET, 43, width).0.samples()
-                });
+            let label = format!("{name}/end_to_end/superblock_w{width}_per_{WIDTH_BUDGET}_worlds");
+            let m = measure(&label, || {
+                forward_on_one_thread(&g, &table, 0..WIDTH_BUDGET, 43, width, Direction::default())
+                    .0
+                    .samples()
+            });
             width_ns.push((width, m.median_secs / WIDTH_BUDGET as f64 * 1e9));
         }
         let planned = BlockWords::plan(WIDTH_BUDGET, 1);
@@ -146,18 +159,11 @@ fn main() {
         let mut direction_ns = Vec::new();
         for direction in Direction::ALL {
             let m = measure(
-                &format!("{name}/end_to_end/superblock_{direction}_per_512_worlds"),
+                &format!("{name}/end_to_end/superblock_{direction}_per_{WIDTH_BUDGET}_worlds"),
                 || {
-                    forward_counts_range_width_directed(
-                        &g,
-                        &table,
-                        0..WIDTH_BUDGET,
-                        43,
-                        planned,
-                        direction,
-                    )
-                    .0
-                    .samples()
+                    forward_on_one_thread(&g, &table, 0..WIDTH_BUDGET, 43, planned, direction)
+                        .0
+                        .samples()
                 },
             );
             direction_ns.push((direction, m.median_secs / WIDTH_BUDGET as f64 * 1e9));
@@ -168,14 +174,8 @@ fn main() {
         // Auto's step mix over the budget — a two-bucket frontier
         // occupancy histogram (push steps ran sparse, pull steps ran at
         // ≥ n/8 occupancy) plus how often the strategy flipped.
-        let (_, auto_usage) = forward_counts_range_width_directed(
-            &g,
-            &table,
-            0..WIDTH_BUDGET,
-            43,
-            planned,
-            Direction::Auto,
-        );
+        let (_, auto_usage) =
+            forward_on_one_thread(&g, &table, 0..WIDTH_BUDGET, 43, planned, Direction::Auto);
         let auto_steps = (auto_usage.push_steps + auto_usage.pull_steps).max(1);
 
         // Relabeled-vs-original rows: the same budget through each
@@ -190,14 +190,16 @@ fn main() {
             let (relabeled, _) = g.relabeled(order);
             let relabeled_table = CoinTable::new(&relabeled);
             let m = measure(
-                &format!("{name}/end_to_end/superblock_relabel_{label}_per_512_worlds"),
+                &format!("{name}/end_to_end/superblock_relabel_{label}_per_{WIDTH_BUDGET}_worlds"),
                 || {
-                    forward_counts_range_width(
+                    let direction = Direction::default();
+                    forward_on_one_thread(
                         &relabeled,
                         &relabeled_table,
                         0..WIDTH_BUDGET,
                         43,
                         planned,
+                        direction,
                     )
                     .0
                     .samples()
@@ -210,7 +212,14 @@ fn main() {
 
         // Lazy-skip ratio of the production path, over a longer run so
         // per-block variation averages out.
-        let (_, usage) = forward_counts_range_with(&g, &table, 0..(32 * LANES as u64), 43);
+        let (_, usage) = forward_on_one_thread(
+            &g,
+            &table,
+            0..(32 * LANES as u64),
+            43,
+            BlockWords::W1,
+            Direction::default(),
+        );
 
         let mat_speedup = scalar_mat.median_secs / block_mat.median_secs;
         let eval_speedup = scalar_eval.median_secs / block_eval.median_secs;
@@ -283,7 +292,7 @@ fn main() {
         let count = (g.num_nodes() * pct / 100).max(1);
         let candidates: Vec<NodeId> = (0..count as u32).map(NodeId).collect();
         bench(&format!("reverse_by_candidate_fraction/{pct}pct"), || {
-            reverse_counts(&g, &candidates, 192, 42)
+            reverse_counts(&g, &candidates, 192, 42, 1)
         });
     }
     // The small-candidate regime the paper's lazy coins won: with the
@@ -318,30 +327,36 @@ fn main() {
         let block_small = measure("reverse_small_candidate_set/block_50cand_per_64_worlds", || {
             let base = block_base;
             block_base += LANES as u64;
-            reverse_counts_range_with(&g, &table, &candidates, base..base + LANES as u64, 7)
-                .0
-                .samples()
+            reverse_on_one_thread(
+                &g,
+                &table,
+                &candidates,
+                base..base + LANES as u64,
+                7,
+                BlockWords::W1,
+            )
+            .0
+            .samples()
         });
         // The superblock reverse path at the widest width, same budget
-        // per call as one widest superblock.
+        // per call as the width rows above.
         let mut wide_base = 0u64;
-        let wide_small =
-            measure("reverse_small_candidate_set/superblock_w8_per_512_worlds", || {
-                let base = wide_base;
-                wide_base += WIDTH_BUDGET;
-                reverse_counts_range_width(
-                    &g,
-                    &table,
-                    &candidates,
-                    base..base + WIDTH_BUDGET,
-                    7,
-                    BlockWords::W8,
-                )
-                .0
-                .samples()
-            });
-        let (_, usage): (DefaultCounts, CoinUsage) =
-            reverse_counts_range_with(&g, &table, &candidates, 0..(16 * LANES as u64), 7);
+        let wide_label =
+            format!("reverse_small_candidate_set/superblock_w8_per_{WIDTH_BUDGET}_worlds");
+        let wide_small = measure(&wide_label, || {
+            let base = wide_base;
+            wide_base += WIDTH_BUDGET;
+            let range = base..base + WIDTH_BUDGET;
+            reverse_on_one_thread(&g, &table, &candidates, range, 7, BlockWords::W8).0.samples()
+        });
+        let (_, usage) = reverse_on_one_thread(
+            &g,
+            &table,
+            &candidates,
+            0..(16 * LANES as u64),
+            7,
+            BlockWords::W1,
+        );
         report
             .group("reverse_small_candidate_set")
             .num("nodes", g.num_nodes() as f64)
@@ -361,7 +376,7 @@ fn main() {
     for threads in [1usize, 2, 4] {
         let effective = threads.min(hardware);
         bench(&format!("parallel_forward/requested_{threads}_effective_{effective}"), || {
-            parallel_forward_counts(&g, 2048, 42, threads)
+            forward_counts(&g, 2048, 42, threads)
         });
     }
     emit_machine(&mut report).num("block_words", BlockWords::plan(WIDTH_BUDGET, 1).words() as f64);

@@ -41,13 +41,14 @@
 //! budget (`VULNDS_BENCH_MS=60`) so the whole gate runs in a few
 //! seconds.
 
-use ugraph::NodeOrder;
+use ugraph::{NodeOrder, UncertainGraph};
+use vulnds_bench::forward_on_one_thread;
 use vulnds_bench::microbench::measure;
 use vulnds_datasets::gen::erdos;
 use vulnds_datasets::{attach_probabilities, ProbabilityModel};
 use vulnds_sampling::{
-    forward_counts_range_width, forward_counts_range_width_directed, BlockWords, CoinTable,
-    Direction, PossibleWorld, WorldBlock, Xoshiro256pp, LANES,
+    BlockWords, CoinTable, DefaultCounts, Direction, PossibleWorld, SuperBlock, SuperKernel,
+    WorldBlock, Xoshiro256pp, LANES, MAX_BLOCK_WORDS,
 };
 
 /// Block materialization must beat the scalar per-lane path by at least
@@ -70,6 +71,21 @@ const DIRECTION_REQUIRED_SPEEDUP: f64 = 1.1;
 /// The BFS-order relabel must beat the scrambled node order by at least
 /// this factor on the fixed-budget forward workload, or the gate fails.
 const RELABEL_REQUIRED_SPEEDUP: f64 = 1.05;
+
+/// One widest superblock (worlds `0..MAX_BLOCK_WORDS · 64`) through the
+/// width-8 forward kernel in the default direction, returning the
+/// samples counted. The range passes would narrow a lone superblock to
+/// width 4, so the relabel gate drives the kernel itself.
+fn one_widest_superblock(graph: &UncertainGraph, coins: &CoinTable, seed: u64) -> u64 {
+    const W: usize = MAX_BLOCK_WORDS;
+    let mut block = SuperBlock::<W>::new(graph);
+    let mut kernel = SuperKernel::<W>::new(graph);
+    let mut counts = DefaultCounts::new(graph.num_nodes());
+    block.materialize(graph, coins, seed, 0, W * LANES);
+    let words = kernel.forward_defaults_directed(graph, coins, &mut block, Direction::default());
+    counts.record_words::<W>(words, block.lane_masks());
+    counts.samples()
+}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -117,11 +133,22 @@ fn main() {
     // Superblock gate: same fixed forward budget through the width-1
     // block path and the planner-width superblock path.
     let narrow = measure("perf_sanity/forward_fixed_budget_w1", || {
-        forward_counts_range_width(&g, &table, 0..SUPERBLOCK_BUDGET, 11, BlockWords::W1).0.samples()
+        forward_on_one_thread(
+            &g,
+            &table,
+            0..SUPERBLOCK_BUDGET,
+            11,
+            BlockWords::W1,
+            Direction::default(),
+        )
+        .0
+        .samples()
     });
     let planned = BlockWords::plan(SUPERBLOCK_BUDGET, 1);
     let wide = measure("perf_sanity/forward_fixed_budget_planned_width", || {
-        forward_counts_range_width(&g, &table, 0..SUPERBLOCK_BUDGET, 11, planned).0.samples()
+        forward_on_one_thread(&g, &table, 0..SUPERBLOCK_BUDGET, 11, planned, Direction::default())
+            .0
+            .samples()
     });
     let wide_speedup = narrow.median_secs / wide.median_secs;
     println!(
@@ -154,7 +181,7 @@ fn main() {
     let mut auto = f64::INFINITY;
     for round in 0..3 {
         let p = measure(&format!("perf_sanity/dense_forward_fixed_budget_push_{round}"), || {
-            forward_counts_range_width_directed(
+            forward_on_one_thread(
                 &dense,
                 &dense_table,
                 0..SUPERBLOCK_BUDGET,
@@ -167,7 +194,7 @@ fn main() {
         });
         push = push.min(p.median_secs);
         let a = measure(&format!("perf_sanity/dense_forward_fixed_budget_auto_{round}"), || {
-            forward_counts_range_width_directed(
+            forward_on_one_thread(
                 &dense,
                 &dense_table,
                 0..SUPERBLOCK_BUDGET,
@@ -202,7 +229,6 @@ fn main() {
     // set past L3, so the layout effect is a DRAM-latency effect and
     // survives the frequency throttling that erases cache-resident
     // layout wins on shared runners.
-    let relabel_budget = (vulnds_sampling::MAX_BLOCK_WORDS * LANES) as u64;
     let mut relabel_rng = Xoshiro256pp::new(0x4E1A_8E10);
     let re_edges = erdos::generate(100_000, 300_000, &mut relabel_rng);
     let mut perm: Vec<u32> = (0..100_000u32).collect();
@@ -235,28 +261,12 @@ fn main() {
     for round in 0..4 {
         let b =
             measure(&format!("perf_sanity/relabel_forward_fixed_budget_scrambled_{round}"), || {
-                forward_counts_range_width(
-                    &scrambled,
-                    &scrambled_table,
-                    0..relabel_budget,
-                    13,
-                    planned,
-                )
-                .0
-                .samples()
+                one_widest_superblock(&scrambled, &scrambled_table, 13)
             });
         before = before.min(b.median_secs);
         let a =
             measure(&format!("perf_sanity/relabel_forward_fixed_budget_bfs_order_{round}"), || {
-                forward_counts_range_width(
-                    &relabeled,
-                    &relabeled_table,
-                    0..relabel_budget,
-                    13,
-                    planned,
-                )
-                .0
-                .samples()
+                one_widest_superblock(&relabeled, &relabeled_table, 13)
             });
         after = after.min(a.median_secs);
     }

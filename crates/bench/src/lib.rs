@@ -24,3 +24,41 @@ pub mod machine;
 pub mod microbench;
 pub mod report;
 pub mod workload;
+
+use std::ops::Range;
+use ugraph::{NodeId, UncertainGraph};
+use vulnds_sampling::{
+    parallel_forward_counts_range_width_traced, parallel_reverse_counts_range_width_traced,
+    BlockWords, CoinTable, CoinUsage, DefaultCounts, Direction,
+};
+
+/// One forward pass over `range` at `width` in `direction` on the
+/// calling thread, uncancelled and untraced: the fixed-budget unit the
+/// sampling micro-benches and the `perf_sanity` gates time. The pass
+/// narrows `width` if `range` holds fewer than two of its superblocks.
+pub fn forward_on_one_thread(
+    graph: &UncertainGraph,
+    coins: &CoinTable,
+    range: Range<u64>,
+    seed: u64,
+    width: BlockWords,
+    direction: Direction,
+) -> (DefaultCounts, CoinUsage) {
+    parallel_forward_counts_range_width_traced(
+        graph, coins, range, seed, 1, width, direction, None, None,
+    )
+}
+
+/// The reverse pass over `candidates` like [`forward_on_one_thread`].
+pub fn reverse_on_one_thread(
+    graph: &UncertainGraph,
+    coins: &CoinTable,
+    candidates: &[NodeId],
+    range: Range<u64>,
+    seed: u64,
+    width: BlockWords,
+) -> (DefaultCounts, CoinUsage) {
+    parallel_reverse_counts_range_width_traced(
+        graph, coins, candidates, range, seed, 1, width, None, None,
+    )
+}

@@ -1,11 +1,10 @@
 //! Shared machine probe for the benchmark binaries.
 //!
-//! Every perf-trajectory file (`BENCH_sampling.json`,
-//! `BENCH_service.json`) carries a `machine` group so readers can tell
-//! what hardware produced the numbers. The probes used to live in the
-//! individual bins and drifted — the service report lacked the `simd`
-//! field the sampling report had — so both now start their group
-//! through [`emit_machine`] and chain workload-specific extras onto it.
+//! Every perf report (`BENCH_sampling.json`, the `perfbench` output)
+//! carries a `machine` group so readers can tell what hardware produced
+//! the numbers. Reports start that group through [`emit_machine`] and
+//! chain workload-specific extras onto it, so the probes cannot drift
+//! apart.
 
 use crate::microbench::JsonReport;
 

@@ -48,7 +48,7 @@ pub(crate) fn equation1(graph: &UncertainGraph, v: NodeId, prev: &[f64]) -> f64 
 /// be safe: on a cycle the best incoming walk can start at `v` itself,
 /// double-counting `v`'s self coin (caught by the system property tests).
 #[inline]
-pub(crate) fn best_path_step(graph: &UncertainGraph, v: NodeId, prev: &[f64]) -> f64 {
+fn best_path_step(graph: &UncertainGraph, v: NodeId, prev: &[f64]) -> f64 {
     let mut best = graph.self_risk(v);
     for e in graph.in_edges(v) {
         best = best.max(e.prob * prev[e.source.index()]);
@@ -56,100 +56,94 @@ pub(crate) fn best_path_step(graph: &UncertainGraph, v: NodeId, prev: &[f64]) ->
     best
 }
 
-/// Algorithm 2: order-`z` lower bounds.
-///
-/// Iteration 1 sets `pl(v) = ps(v)`; each further iteration feeds the
-/// previous values through Equation 1. The change-propagation trick of
-/// the pseudocode ("only update if an in-neighbor changed") is realized
-/// with a dirty flag per node.
+/// One lower-recursion step for `method`: Equation 1 (the paper's
+/// Algorithm 2) or the best-single-path variant.
+#[inline]
+pub(crate) fn lower_step(
+    method: BoundsMethod,
+    graph: &UncertainGraph,
+    v: NodeId,
+    prev: &[f64],
+) -> f64 {
+    match method {
+        BoundsMethod::Paper => equation1(graph, v, prev),
+        BoundsMethod::Safe => best_path_step(graph, v, prev),
+    }
+}
+
+/// Every level of the order-`z` lower recursion (at least one): level 0
+/// is `ps` (Algorithm 2 order 1), and level `i` feeds level `i − 1`
+/// through `method`'s step. The batch bounds below and
+/// [`IncrementalBounds`](crate::IncrementalBounds) both build their
+/// levels here, so they agree bit for bit.
+pub(crate) fn lower_levels(
+    graph: &UncertainGraph,
+    z: usize,
+    method: BoundsMethod,
+) -> Vec<Vec<f64>> {
+    let first = graph.nodes().map(|v| graph.self_risk(v)).collect();
+    levels(graph, z, first, |g, v, prev| lower_step(method, g, v, prev))
+}
+
+/// Every level of the order-`z` upper recursion (at least one): level 0
+/// is Equation 1 with all in-neighbor probabilities set to 1
+/// (Algorithm 3 order 1), and level `i` is Equation 1 over level `i − 1`.
+pub(crate) fn upper_levels(graph: &UncertainGraph, z: usize) -> Vec<Vec<f64>> {
+    let ones = vec![1.0; graph.num_nodes()];
+    let first = graph.nodes().map(|v| equation1(graph, v, &ones)).collect();
+    levels(graph, z, first, equation1)
+}
+
+/// `first` followed by `z − 1` full sweeps of `step`, each over the
+/// previous level.
+fn levels(
+    graph: &UncertainGraph,
+    z: usize,
+    first: Vec<f64>,
+    step: impl Fn(&UncertainGraph, NodeId, &[f64]) -> f64,
+) -> Vec<Vec<f64>> {
+    let mut levels = Vec::with_capacity(z.max(1));
+    let mut prev = first;
+    for _ in 1..z {
+        let next = graph.nodes().map(|v| step(graph, v, &prev)).collect();
+        levels.push(std::mem::replace(&mut prev, next));
+    }
+    levels.push(prev);
+    levels
+}
+
+/// The final level of a recursion.
+fn top(mut levels: Vec<Vec<f64>>) -> Vec<f64> {
+    levels.pop().unwrap_or_default()
+}
+
+/// Algorithm 2: order-`z` lower bounds. Order 1 is `ps(v)`; each further
+/// order feeds the previous values through Equation 1.
 pub fn lower_bounds_paper(graph: &UncertainGraph, z: usize) -> Vec<f64> {
-    iterate(graph, z, equation1, |g, v| g.self_risk(v))
+    top(lower_levels(graph, z, BoundsMethod::Paper))
 }
 
 /// Safe lower bounds: same shape as Algorithm 2 but combining in-neighbor
 /// contributions by `max` instead of noisy-or, which never overshoots.
 pub fn lower_bounds_safe(graph: &UncertainGraph, z: usize) -> Vec<f64> {
-    iterate(graph, z, best_path_step, |g, v| g.self_risk(v))
+    top(lower_levels(graph, z, BoundsMethod::Safe))
 }
 
-/// Algorithm 3: order-`z` upper bounds. The first iteration evaluates
+/// Algorithm 3: order-`z` upper bounds. The first order evaluates
 /// Equation 1 with all in-neighbor probabilities set to 1.
 pub fn upper_bounds(graph: &UncertainGraph, z: usize) -> Vec<f64> {
-    iterate(graph, z, equation1, |_, _| 1.0)
+    top(upper_levels(graph, z))
 }
 
-/// Dispatch on the configured method, returning `(lower, upper)`.
+/// Dispatch on the configured method, returning `(lower, upper)` —
+/// bitwise the bounds [`IncrementalBounds`](crate::IncrementalBounds)
+/// builds for the same graph, order and method.
 pub fn compute_bounds(
     graph: &UncertainGraph,
     z: usize,
     method: BoundsMethod,
 ) -> (Vec<f64>, Vec<f64>) {
-    let lower = match method {
-        BoundsMethod::Paper => lower_bounds_paper(graph, z),
-        BoundsMethod::Safe => lower_bounds_safe(graph, z),
-    };
-    (lower, upper_bounds(graph, z))
-}
-
-/// Shared iteration engine. `init(g, v)` seeds the neighbor estimates used
-/// by the first application of `step`; `z` counts iterations in the
-/// paper's convention (order 1 = seed values for the lower bound, one
-/// application for the upper bound).
-fn iterate(
-    graph: &UncertainGraph,
-    z: usize,
-    step: impl Fn(&UncertainGraph, NodeId, &[f64]) -> f64,
-    init: impl Fn(&UncertainGraph, NodeId) -> f64,
-) -> Vec<f64> {
-    let n = graph.num_nodes();
-    let mut prev: Vec<f64> = graph.nodes().map(|v| init(graph, v)).collect();
-    if z <= 1 {
-        // Order 1: lower bound returns the seeds (ps); upper bound's first
-        // iteration already applies the step once with neighbors at 1.
-        // We normalize both to "apply step z−0 times with a minimum of one
-        // application for the all-ones seed", matching Algorithms 2 and 3:
-        // Algorithm 2 order 1 = ps(v); Algorithm 3 order 1 = Eq.1 with 1s.
-        let all_init_one = (0..n).all(|i| prev[i] == 1.0) && n > 0;
-        if all_init_one {
-            let cur: Vec<f64> = graph.nodes().map(|v| step(graph, v, &prev)).collect();
-            return cur;
-        }
-        return prev;
-    }
-    // Dirty-flag propagation: recompute v only if some in-neighbor changed
-    // in the previous round (all nodes are dirty in round 2).
-    let mut dirty = vec![true; n];
-    let mut rounds = z - 1;
-    let all_init_one = n > 0 && prev.iter().all(|&x| x == 1.0);
-    if all_init_one {
-        // Upper bound: order z means z applications of Eq. 1 (the first
-        // with all-ones neighbors).
-        rounds = z;
-    }
-    let mut cur = prev.clone();
-    for _ in 0..rounds {
-        let mut next_dirty = vec![false; n];
-        let mut changed_any = false;
-        for v in graph.nodes() {
-            if !dirty[v.index()] {
-                continue;
-            }
-            let val = step(graph, v, &prev);
-            if (val - cur[v.index()]).abs() > 1e-15 {
-                cur[v.index()] = val;
-                changed_any = true;
-                for e in graph.out_edges(v) {
-                    next_dirty[e.target.index()] = true;
-                }
-            }
-        }
-        prev.copy_from_slice(&cur);
-        dirty = next_dirty;
-        if !changed_any {
-            break;
-        }
-    }
-    cur
+    (top(lower_levels(graph, z, method)), upper_bounds(graph, z))
 }
 
 /// Interval sanity check used by tests and debug assertions: every lower
@@ -276,29 +270,6 @@ mod tests {
         for z in 1..=3 {
             assert_eq!(lower_bounds_paper(&g, z), vec![0.42, 0.17]);
             assert_eq!(upper_bounds(&g, z), vec![0.42, 0.17]);
-        }
-    }
-
-    #[test]
-    fn dirty_propagation_matches_full_recompute() {
-        // Recompute bounds without the dirty-flag shortcut and compare.
-        let g = from_parts(
-            &[0.2, 0.3, 0.1, 0.4, 0.05],
-            &[(0, 1, 0.5), (1, 2, 0.4), (2, 3, 0.3), (3, 4, 0.6), (0, 4, 0.2), (1, 3, 0.7)],
-            DuplicateEdgePolicy::Error,
-        )
-        .unwrap();
-        for z in 2..=4 {
-            let fast = lower_bounds_paper(&g, z);
-            // Naive reference: z−1 full sweeps from ps.
-            let mut prev: Vec<f64> = g.nodes().map(|v| g.self_risk(v)).collect();
-            for _ in 0..z - 1 {
-                let next: Vec<f64> = g.nodes().map(|v| super::equation1(&g, v, &prev)).collect();
-                prev = next;
-            }
-            for v in 0..5 {
-                assert!((fast[v] - prev[v]).abs() < 1e-12, "z={z} v={v}");
-            }
         }
     }
 

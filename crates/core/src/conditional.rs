@@ -56,7 +56,7 @@ pub fn intervention_scores(
         // valid probability.
         g.set_self_risk(v, 1.0).expect("evidence node must exist");
     }
-    vulnds_sampling::parallel_forward_counts(&g, t, config.seed, config.threads.max(1)).estimates()
+    vulnds_sampling::forward_counts(&g, t, config.seed, config.threads.max(1)).estimates()
 }
 
 /// Bayesian conditioning by rejection: draw worlds until `accept_target`

@@ -14,7 +14,7 @@
 //! level `i`. Repaired values are therefore bit-identical to a full
 //! recomputation, which the tests assert.
 
-use crate::bounds::{best_path_step, equation1};
+use crate::bounds::{equation1, lower_levels, lower_step, upper_levels};
 use crate::config::BoundsMethod;
 use ugraph::{EdgeId, GraphError, NodeId, UncertainGraph};
 
@@ -37,23 +37,8 @@ impl IncrementalBounds {
     /// Computes initial bounds of order `z` (≥ 1).
     pub fn new(graph: UncertainGraph, z: usize, method: BoundsMethod) -> Self {
         assert!(z >= 1, "bound order must be at least 1");
-        let n = graph.num_nodes();
-        let mut lower_levels: Vec<Vec<f64>> = Vec::with_capacity(z);
-        lower_levels.push(graph.nodes().map(|v| graph.self_risk(v)).collect());
-        for i in 1..z {
-            let prev = &lower_levels[i - 1];
-            let next: Vec<f64> =
-                graph.nodes().map(|v| lower_step(method, &graph, v, prev)).collect();
-            lower_levels.push(next);
-        }
-        let ones = vec![1.0f64; n];
-        let mut upper_levels: Vec<Vec<f64>> = Vec::with_capacity(z);
-        upper_levels.push(graph.nodes().map(|v| equation1(&graph, v, &ones)).collect());
-        for i in 1..z {
-            let prev = &upper_levels[i - 1];
-            let next: Vec<f64> = graph.nodes().map(|v| equation1(&graph, v, prev)).collect();
-            upper_levels.push(next);
-        }
+        let lower_levels = lower_levels(&graph, z, method);
+        let upper_levels = upper_levels(&graph, z);
         IncrementalBounds { graph, z, method, lower_levels, upper_levels }
     }
 
@@ -102,10 +87,8 @@ impl IncrementalBounds {
     /// `touch_seed` says whether level 0 of the lower recursion (the `ps`
     /// seeds) changed at those nodes.
     fn repair(&mut self, touched: &[NodeId], touch_seed: bool) -> usize {
-        let n = self.graph.num_nodes();
         let mut recomputed = 0usize;
 
-        let _ = n;
         // --- lower recursion ---
         // `changed` holds the nodes whose level-(i−1) value changed; the
         // level-i candidates are their out-neighbors plus the touched
@@ -180,14 +163,6 @@ impl IncrementalBounds {
     }
 }
 
-#[inline]
-fn lower_step(method: BoundsMethod, graph: &UncertainGraph, v: NodeId, prev: &[f64]) -> f64 {
-    match method {
-        BoundsMethod::Paper => equation1(graph, v, prev),
-        BoundsMethod::Safe => best_path_step(graph, v, prev),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,30 +185,28 @@ mod tests {
     }
 
     fn assert_matches_batch(inc: &IncrementalBounds) {
+        // Bitwise: the batch bounds and the maintainer share one level
+        // builder, and repairs recompute exactly the cells it would.
         let (l, u) = compute_bounds(inc.graph(), inc.order(), inc.method);
-        for v in 0..inc.graph().num_nodes() {
-            assert!(
-                (inc.lower()[v] - l[v]).abs() < 1e-12,
-                "lower mismatch at {v}: {} vs {}",
-                inc.lower()[v],
-                l[v]
-            );
-            assert!(
-                (inc.upper()[v] - u[v]).abs() < 1e-12,
-                "upper mismatch at {v}: {} vs {}",
-                inc.upper()[v],
-                u[v]
-            );
-        }
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(inc.lower()), bits(&l), "lower bounds differ");
+        assert_eq!(bits(inc.upper()), bits(&u), "upper bounds differ");
     }
 
     #[test]
     fn initial_bounds_match_batch() {
-        let g = random_graph(50, 120, 1);
-        for method in [BoundsMethod::Paper, BoundsMethod::Safe] {
-            for z in 1..=4 {
-                let inc = IncrementalBounds::new(g.clone(), z, method);
-                assert_matches_batch(&inc);
+        // Beside a random graph: one node with ps = 1 − 2⁻⁵², whose upper
+        // bound is exactly ps at every order, and a near-zero edge that
+        // moves its target by less than 1e-15. A batch recursion that
+        // skips changes below a tolerance gets both wrong.
+        let one = from_parts(&[1.0 - f64::EPSILON], &[], DuplicateEdgePolicy::Error).unwrap();
+        let tiny = from_parts(&[0.5, 0.5], &[(0, 1, 1e-15)], DuplicateEdgePolicy::Error).unwrap();
+        for g in [random_graph(50, 120, 1), one, tiny] {
+            for method in [BoundsMethod::Paper, BoundsMethod::Safe] {
+                for z in 1..=4 {
+                    let inc = IncrementalBounds::new(g.clone(), z, method);
+                    assert_matches_batch(&inc);
+                }
             }
         }
     }

@@ -5,7 +5,7 @@
 use crate::config::VulnConfig;
 use crate::sample_size::basic_sample_size;
 use ugraph::UncertainGraph;
-use vulnds_sampling::{parallel_forward_counts, BlockKernel, CoinTable, WorldBlock, LANES};
+use vulnds_sampling::{forward_counts, BlockKernel, CoinTable, WorldBlock, LANES};
 use vulnds_sketch::{bottomk_default_probability, hash_order, UnitHasher};
 
 /// Monte-Carlo scores for every node with the Equation-3 budget — the
@@ -19,7 +19,7 @@ pub fn score_nodes_mc(graph: &UncertainGraph, k_hint: usize, config: &VulnConfig
             config.approx,
         ))
         .max(1);
-    parallel_forward_counts(graph, t, config.seed, config.threads).estimates()
+    forward_counts(graph, t, config.seed, config.threads).estimates()
 }
 
 /// Bottom-k scores for every node — the BSRBK-style predictor: forward

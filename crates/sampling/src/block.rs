@@ -286,8 +286,7 @@ impl<const W: usize> SuperBlock<W> {
                 let mut word = 0u64;
                 if t != 0 {
                     for (j, &(key, lane)) in keys.iter().enumerate() {
-                        let coin =
-                            bernoulli_bit(t, edge_key(key, e), lane, false, &mut self.usage.words);
+                        let coin = bernoulli_bit(t, edge_key(key, e), lane, &mut self.usage.words);
                         word |= (coin as u64) << j;
                     }
                 }
@@ -407,8 +406,7 @@ impl WorldBlock {
             let mut w = 0u64;
             if t != 0 {
                 for (j, &(key, lane)) in keys.iter().enumerate() {
-                    let coin =
-                        bernoulli_bit(t, node_key(key, v), lane, false, &mut self.usage.words);
+                    let coin = bernoulli_bit(t, node_key(key, v), lane, &mut self.usage.words);
                     w |= (coin as u64) << j;
                 }
             }

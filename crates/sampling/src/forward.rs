@@ -12,17 +12,14 @@
 //!   kept as the oracle the bit-parallel kernel is validated against.
 //!   Because coins are random-access, it draws edge coins lazily at BFS
 //!   touch — the scalar mirror of the block path's frontier-lazy words.
-//! * [`forward_counts_range`] — the **runtime path**: worlds are packed
-//!   64-per-[`WorldBlock`](crate::WorldBlock) with transposed lane-word synthesis and
-//!   evaluated by the bit-parallel [`BlockKernel`](crate::BlockKernel), bit-identical to
-//!   the scalar reference for any range and seed.
+//! * [`forward_counts`](crate::forward_counts) — the **runtime path**
+//!   (see [`crate::parallel`]): worlds are packed `W·64`-per-
+//!   [`SuperBlock`](crate::SuperBlock) with transposed lane-word
+//!   synthesis and evaluated by the bit-parallel
+//!   [`SuperKernel`](crate::SuperKernel), bit-identical to the scalar
+//!   reference for any range and seed.
 
-use crate::block::{superblock_chunks, SuperBlock, SuperKernel};
-use crate::cancel::CancelToken;
-use crate::coins::{CoinTable, CoinUsage, ScalarCoins};
-use crate::counts::DefaultCounts;
-use crate::direction::Direction;
-use crate::width::{with_block_words, BlockWords};
+use crate::coins::{CoinTable, ScalarCoins};
 use ugraph::{NodeId, UncertainGraph};
 
 /// Reusable scalar forward sampler. Holds scratch buffers so repeated
@@ -111,157 +108,12 @@ impl ForwardSampler {
     }
 }
 
-/// Runs `t` forward samples (ids `0..t`) and returns per-node default
-/// counts. This is the whole of Algorithm 1 except the final top-k
-/// selection, executed on the bit-parallel block kernel.
-pub fn forward_counts(graph: &UncertainGraph, t: u64, seed: u64) -> DefaultCounts {
-    forward_counts_range(graph, 0..t, seed)
-}
-
-/// [`forward_counts_range_with`] with a throwaway [`CoinTable`], for
-/// callers without a session cache.
-pub fn forward_counts_range(
-    graph: &UncertainGraph,
-    range: std::ops::Range<u64>,
-    seed: u64,
-) -> DefaultCounts {
-    forward_counts_range_with(graph, &CoinTable::new(graph), range, seed).0
-}
-
-/// Runs forward samples for the given range of sample ids on the block
-/// kernel: the range is split at 64-aligned block boundaries, each chunk
-/// is materialized as a [`WorldBlock`](crate::WorldBlock) (sample `i` occupies lane
-/// `i % 64` of block `i / 64`) and evaluated in one bit-parallel BFS
-/// with frontier-lazy edge words; partial chunks accumulate through a
-/// lane mask. Returns the counts plus the materialization-cost counters.
-///
-/// Sample `i` always draws from the counter-RNG stream derived from
-/// `(seed, i)`, so counts over disjoint ranges merge (commutatively)
-/// into exactly the counts of the union range — the property the
-/// engine's incremental sample cache extends prefixes with — and the
-/// result is bit-identical to the scalar [`ForwardSampler`] reference.
-pub fn forward_counts_range_with(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    range: std::ops::Range<u64>,
-    seed: u64,
-) -> (DefaultCounts, CoinUsage) {
-    forward_counts_range_wide::<1>(graph, coins, range, seed)
-}
-
-/// [`forward_counts_range_with`] on `W`-word superblocks: the range is
-/// split at `W·64`-aligned superblock boundaries and each chunk is
-/// evaluated in one `W`-wide bit-parallel BFS. Counts are bit-identical
-/// at every width — width is purely a throughput knob (see
-/// [`BlockWords`]).
-pub fn forward_counts_range_wide<const W: usize>(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    range: std::ops::Range<u64>,
-    seed: u64,
-) -> (DefaultCounts, CoinUsage) {
-    forward_counts_range_wide_directed::<W>(graph, coins, range, seed, Direction::default())
-}
-
-/// [`forward_counts_range_wide`] with an explicit traversal
-/// [`Direction`]. Counts are bit-identical for every direction — like
-/// width, direction is purely a throughput knob (see
-/// [`crate::direction`]).
-pub fn forward_counts_range_wide_directed<const W: usize>(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    range: std::ops::Range<u64>,
-    seed: u64,
-    direction: Direction,
-) -> (DefaultCounts, CoinUsage) {
-    forward_counts_range_wide_cancellable::<W>(graph, coins, range, seed, direction, None)
-}
-
-/// [`forward_counts_range_wide_directed`] polling a [`CancelToken`]
-/// once per superblock chunk. A cancelled pass stops at the next chunk
-/// boundary and returns the chunk-aligned **prefix** it completed; the
-/// exact sample count is `counts.samples()`, and re-running the range
-/// truncated to that count reproduces the prefix bit-identically (the
-/// token decides only where the prefix ends, never what it contains).
-pub fn forward_counts_range_wide_cancellable<const W: usize>(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    range: std::ops::Range<u64>,
-    seed: u64,
-    direction: Direction,
-    cancel: Option<&CancelToken>,
-) -> (DefaultCounts, CoinUsage) {
-    let mut counts = DefaultCounts::new(graph.num_nodes());
-    let mut block = SuperBlock::<W>::new(graph);
-    let mut kernel = SuperKernel::<W>::new(graph);
-    for chunk in superblock_chunks(range, W) {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            break;
-        }
-        accumulate_forward_chunk(
-            graph,
-            coins,
-            chunk,
-            seed,
-            direction,
-            &mut block,
-            &mut kernel,
-            &mut counts,
-        );
-    }
-    (counts, block.take_usage())
-}
-
-/// [`forward_counts_range_wide`] with a runtime-selected width.
-pub fn forward_counts_range_width(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    range: std::ops::Range<u64>,
-    seed: u64,
-    width: BlockWords,
-) -> (DefaultCounts, CoinUsage) {
-    with_block_words!(width, W, forward_counts_range_wide::<W>(graph, coins, range, seed))
-}
-
-/// [`forward_counts_range_width`] with an explicit traversal
-/// [`Direction`].
-pub fn forward_counts_range_width_directed(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    range: std::ops::Range<u64>,
-    seed: u64,
-    width: BlockWords,
-    direction: Direction,
-) -> (DefaultCounts, CoinUsage) {
-    with_block_words!(
-        width,
-        W,
-        forward_counts_range_wide_directed::<W>(graph, coins, range, seed, direction)
-    )
-}
-
-/// Materializes and evaluates one ≤`W·64`-sample chunk, accumulating
-/// into `counts`. Shared with the parallel driver.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn accumulate_forward_chunk<const W: usize>(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    chunk: std::ops::Range<u64>,
-    seed: u64,
-    direction: Direction,
-    block: &mut SuperBlock<W>,
-    kernel: &mut SuperKernel<W>,
-    counts: &mut DefaultCounts,
-) {
-    let lanes = (chunk.end - chunk.start) as usize;
-    block.materialize(graph, coins, seed, chunk.start, lanes);
-    let words = kernel.forward_defaults_directed(graph, coins, block, direction);
-    counts.record_words::<W>(words, block.lane_masks());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counts::DefaultCounts;
+    use crate::parallel::exact_width_counts;
+    use crate::{forward_counts, BlockWords};
     use ugraph::{from_parts, DuplicateEdgePolicy};
 
     fn chain() -> UncertainGraph {
@@ -283,7 +135,7 @@ mod tests {
     #[test]
     fn zero_probability_graph_never_defaults() {
         let g = from_parts(&[0.0, 0.0], &[(0, 1, 1.0)], DuplicateEdgePolicy::Error).unwrap();
-        let counts = forward_counts(&g, 200, 3);
+        let counts = forward_counts(&g, 200, 3, 1);
         assert_eq!(counts.count(0), 0);
         assert_eq!(counts.count(1), 0);
     }
@@ -292,7 +144,7 @@ mod tests {
     fn counts_converge_to_chain_marginals() {
         // p(0) = 0.5, p(1) = 0.25, p(2) = 0.125.
         let g = chain();
-        let counts = forward_counts(&g, 40_000, 7);
+        let counts = forward_counts(&g, 40_000, 7, 1);
         assert!((counts.estimate(0) - 0.5).abs() < 0.02);
         assert!((counts.estimate(1) - 0.25).abs() < 0.02);
         assert!((counts.estimate(2) - 0.125).abs() < 0.02);
@@ -333,10 +185,10 @@ mod tests {
     #[test]
     fn forward_counts_reproducible() {
         let g = chain();
-        let a = forward_counts(&g, 500, 11);
-        let b = forward_counts(&g, 500, 11);
+        let a = forward_counts(&g, 500, 11, 1);
+        let b = forward_counts(&g, 500, 11, 1);
         assert_eq!(a, b);
-        let c = forward_counts(&g, 500, 12);
+        let c = forward_counts(&g, 500, 12, 1);
         assert_ne!(a, c);
     }
 
@@ -351,7 +203,7 @@ mod tests {
         let table = CoinTable::new(&g);
         // Budgets straddling block boundaries, including t % 64 != 0.
         for t in [1u64, 63, 64, 65, 130, 500] {
-            let blockwise = forward_counts(&g, t, 21);
+            let blockwise = forward_counts(&g, t, 21, 1);
             let mut sampler = ForwardSampler::new(&g);
             let mut scalar = DefaultCounts::new(3);
             for i in 0..t {
@@ -393,9 +245,10 @@ mod tests {
         let table = CoinTable::new(&g);
         // Budgets straddling superblock boundaries at every width.
         for range in [0..1u64, 0..100, 0..512, 0..700, 37..411, 64..256] {
-            let reference = forward_counts_range_with(&g, &table, range.clone(), 5).0;
-            for width in crate::BlockWords::ALL {
-                let (counts, _) = forward_counts_range_width(&g, &table, range.clone(), 5, width);
+            let reference =
+                exact_width_counts(&g, &table, None, range.clone(), 5, BlockWords::W1).0;
+            for width in BlockWords::ALL {
+                let (counts, _) = exact_width_counts(&g, &table, None, range.clone(), 5, width);
                 assert_eq!(counts, reference, "range {range:?}, width {width}");
             }
         }
@@ -404,10 +257,11 @@ mod tests {
     #[test]
     fn range_decomposition_merges_exactly() {
         let g = chain();
-        let whole = forward_counts_range(&g, 0..300, 31);
+        let table = CoinTable::new(&g);
+        let whole = exact_width_counts(&g, &table, None, 0..300, 31, BlockWords::W1).0;
         // An unaligned split must still merge into the identical counts.
-        let mut parts = forward_counts_range(&g, 0..97, 31);
-        parts.merge(&forward_counts_range(&g, 97..300, 31));
+        let mut parts = exact_width_counts(&g, &table, None, 0..97, 31, BlockWords::W1).0;
+        parts.merge(&exact_width_counts(&g, &table, None, 97..300, 31, BlockWords::W1).0);
         assert_eq!(whole, parts);
     }
 
@@ -420,7 +274,7 @@ mod tests {
             from_parts(&[0.0, 0.0, 0.0], &[(0, 1, 0.5), (1, 2, 0.5)], DuplicateEdgePolicy::Error)
                 .unwrap();
         let table = CoinTable::new(&g);
-        let (counts, usage) = forward_counts_range_with(&g, &table, 0..128, 9);
+        let (counts, usage) = exact_width_counts(&g, &table, None, 0..128, 9, BlockWords::W1);
         assert_eq!(counts.samples(), 128);
         // No seeds ever default, so no edge is ever touched.
         assert_eq!(usage.edge_words_materialized, 0);

@@ -1,24 +1,35 @@
-//! Parallel sample execution over std scoped threads.
+//! The two sampling passes — forward worlds for N/SN (Algorithm 1) and
+//! per-candidate reverse worlds for SR/BSR/BSRBK (Algorithm 5) — run by
+//! one chunk runner over std scoped threads.
 //!
 //! Work is partitioned by **superblock** (`W·64`-sample aligned chunks,
-//! see [`crate::block`]), not by individual sample: threads claim
+//! see [`crate::block`]), not by individual sample: workers claim
 //! chunks of the range's superblock decomposition from a shared atomic
-//! counter, in index order. Each chunk's counts are a pure function of
+//! counter, in index order. The calling thread is always worker 0 and
+//! spawns `threads − 1` helpers, so a one-thread pass runs inline on the
+//! same claim loop. Each chunk's counts are a pure function of
 //! `(seed, chunk)` — the coin generator is a stateless counter RNG, so
-//! threads share one read-only [`CoinTable`] and never coordinate
-//! beyond the claim counter — and partial counts merge with commutative
-//! addition, so a parallel run with any thread count produces
-//! **bit-identical counts** to the sequential run, at any width.
+//! workers share one read-only [`CoinTable`] and never coordinate beyond
+//! the claim counter — and partial counts merge with commutative
+//! addition, so a pass with any thread count produces **bit-identical
+//! counts**, at any width.
+//!
+//! Sample `i` always draws from the counter-RNG stream derived from
+//! `(seed, i)`, so counts over disjoint ranges merge into exactly the
+//! counts of the union range — the property the engine's incremental
+//! sample cache extends prefixes with — and every count is bit-identical
+//! to the scalar [`ForwardSampler`](crate::ForwardSampler) /
+//! [`ReverseSampler`](crate::ReverseSampler) references. Reverse counts
+//! over any candidate list equal forward counts restricted to it.
 //!
 //! Cancellation ([`CancelToken`]) is checked before each claim, never
 //! mid-chunk: a claimed chunk always finishes. Because claims are a
 //! single monotone counter, the set of completed chunks at cancellation
-//! is exactly the contiguous prefix `0..C` of the decomposition — the
-//! same prefix a sequential cancelled run produces — so a degraded
-//! answer replays bit-identically from its sample count alone.
+//! is exactly the contiguous prefix `0..C` of the decomposition, so a
+//! degraded answer replays bit-identically from its sample count alone.
 //!
 //! Width-aware chunking: a wide superblock coarsens the partition unit,
-//! so before partitioning the drivers narrow the requested width until
+//! so before partitioning the passes narrow the requested width until
 //! the range decomposes into at least two chunks per worker thread
 //! ([`fit_width`]). Counts are width-independent, so narrowing never
 //! changes an answer — it only keeps small budgets from starving
@@ -31,6 +42,7 @@ use crate::counts::DefaultCounts;
 use crate::direction::Direction;
 use crate::touch::TouchLedger;
 use crate::width::{with_block_words, BlockWords};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use ugraph::{NodeId, UncertainGraph};
 
@@ -43,7 +55,7 @@ pub(crate) fn effective_threads(requested: usize, work_items: u64) -> usize {
 }
 
 /// Number of superblock chunks `range` decomposes into at `width`.
-fn chunk_count(range: &std::ops::Range<u64>, width: BlockWords) -> u64 {
+fn chunk_count(range: &Range<u64>, width: BlockWords) -> u64 {
     if range.end <= range.start {
         return 0;
     }
@@ -59,7 +71,7 @@ fn chunk_count(range: &std::ops::Range<u64>, width: BlockWords) -> u64 {
 /// [`BlockWords::plan`], which requires *full* superblocks, this guards
 /// a concrete range where any chunk is real work for a thread. Counts
 /// are bit-identical at every width, so this only redistributes work.
-pub fn fit_width(range: &std::ops::Range<u64>, width: BlockWords, threads: usize) -> BlockWords {
+pub fn fit_width(range: &Range<u64>, width: BlockWords, threads: usize) -> BlockWords {
     let threads = threads.max(1) as u64;
     let mut width = width;
     while let Some(narrower) = width.narrower() {
@@ -71,322 +83,96 @@ pub fn fit_width(range: &std::ops::Range<u64>, width: BlockWords, threads: usize
     width
 }
 
-/// Parallel version of [`crate::forward::forward_counts`], on
-/// planner-selected superblocks ([`BlockWords::plan`]).
-///
-/// Splits the superblock decomposition of `0..t` into `threads` strided
-/// partitions; each thread owns its kernel scratch and partial counts.
-pub fn parallel_forward_counts(
-    graph: &UncertainGraph,
-    t: u64,
-    seed: u64,
-    threads: usize,
-) -> DefaultCounts {
+/// Runs `t` forward samples (ids `0..t`) and returns per-node default
+/// counts: the whole of Algorithm 1 except the final top-k selection.
+/// Superblocks are planner-selected ([`BlockWords::plan`]) and coins come
+/// from a throwaway [`CoinTable`], for callers without a session cache.
+pub fn forward_counts(graph: &UncertainGraph, t: u64, seed: u64, threads: usize) -> DefaultCounts {
+    let coins = CoinTable::new(graph);
     let width = BlockWords::plan(t, threads);
-    parallel_forward_counts_range_width(graph, &CoinTable::new(graph), 0..t, seed, threads, width).0
-}
-
-/// [`parallel_forward_counts_range_with`] with a throwaway
-/// [`CoinTable`], for callers without a session cache.
-pub fn parallel_forward_counts_range(
-    graph: &UncertainGraph,
-    range: std::ops::Range<u64>,
-    seed: u64,
-    threads: usize,
-) -> DefaultCounts {
-    parallel_forward_counts_range_with(graph, &CoinTable::new(graph), range, seed, threads).0
-}
-
-/// Parallel version of [`crate::forward::forward_counts_range_with`]
-/// (width 1): bit-identical to the sequential range run for any thread
-/// count. Returns the counts plus the merged materialization counters of
-/// every worker. Width-selecting callers use
-/// [`parallel_forward_counts_range_width`].
-pub fn parallel_forward_counts_range_with(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    range: std::ops::Range<u64>,
-    seed: u64,
-    threads: usize,
-) -> (DefaultCounts, CoinUsage) {
-    parallel_forward_counts_range_width(graph, coins, range, seed, threads, BlockWords::W1)
-}
-
-/// [`parallel_forward_counts_range_with`] on superblocks of the given
-/// width (narrowed by [`fit_width`] when the range is too small to keep
-/// every thread busy at that width): bit-identical to the sequential
-/// width-1 run for any thread count and any width.
-pub fn parallel_forward_counts_range_width(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    range: std::ops::Range<u64>,
-    seed: u64,
-    threads: usize,
-    width: BlockWords,
-) -> (DefaultCounts, CoinUsage) {
-    parallel_forward_counts_range_width_directed(
+    parallel_forward_counts_range_width_traced(
         graph,
-        coins,
-        range,
+        &coins,
+        0..t,
         seed,
         threads,
         width,
         Direction::default(),
+        None,
+        None,
     )
+    .0
 }
 
-/// [`parallel_forward_counts_range_width`] with an explicit traversal
-/// [`Direction`]: bit-identical counts for every direction, width, and
-/// thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn parallel_forward_counts_range_width_directed(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    range: std::ops::Range<u64>,
-    seed: u64,
-    threads: usize,
-    width: BlockWords,
-    direction: Direction,
-) -> (DefaultCounts, CoinUsage) {
-    parallel_forward_counts_range_width_cancellable(
-        graph, coins, range, seed, threads, width, direction, None,
-    )
-}
-
-/// [`parallel_forward_counts_range_width_directed`] polling a
-/// [`CancelToken`] between superblock chunks. A cancelled run returns
-/// the contiguous chunk-aligned prefix it completed (exact sample count
-/// inside the counts); replaying with that count as the budget
-/// reproduces the prefix bit-identically at any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn parallel_forward_counts_range_width_cancellable(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    range: std::ops::Range<u64>,
-    seed: u64,
-    threads: usize,
-    width: BlockWords,
-    direction: Direction,
-    cancel: Option<&CancelToken>,
-) -> (DefaultCounts, CoinUsage) {
-    parallel_forward_counts_range_width_traced(
-        graph, coins, range, seed, threads, width, direction, cancel, None,
-    )
-}
-
-/// [`parallel_forward_counts_range_width_cancellable`] that additionally
-/// folds every worker's touched-edge set into `ledger` — the
-/// revalidation bookkeeping for delta-aware sampled-state caches. The
-/// counts are bit-identical with or without a ledger.
-#[allow(clippy::too_many_arguments)]
-pub fn parallel_forward_counts_range_width_traced(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    range: std::ops::Range<u64>,
-    seed: u64,
-    threads: usize,
-    width: BlockWords,
-    direction: Direction,
-    cancel: Option<&CancelToken>,
-    ledger: Option<&TouchLedger>,
-) -> (DefaultCounts, CoinUsage) {
-    let width = fit_width(&range, width, threads);
-    with_block_words!(width, W, {
-        let chunks: Vec<std::ops::Range<u64>> = superblock_chunks(range.clone(), W).collect();
-        let threads = effective_threads(threads, chunks.len() as u64);
-        if threads == 1 && ledger.is_none() {
-            return crate::forward::forward_counts_range_wide_cancellable::<W>(
-                graph, coins, range, seed, direction, cancel,
-            );
-        }
-        forward_partitioned::<W>(graph, coins, &chunks, seed, threads, direction, cancel, ledger)
-    })
-}
-
-/// The claim-based multi-thread forward runner, taking `threads` as-is.
-/// Split out from the public entry point so tests exercise the threaded
-/// merge path even on single-core machines (where `effective_threads`
-/// would clamp to the sequential path).
-///
-/// Threads draw chunk indices from a shared monotone counter; the
-/// cancel token is polled before each claim and a claimed chunk always
-/// finishes, so the completed set is exactly the contiguous prefix of
-/// `chunks` at the counter's final value — the same prefix the
-/// sequential cancellable driver produces.
-#[allow(clippy::too_many_arguments)]
-fn forward_partitioned<const W: usize>(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    chunks: &[std::ops::Range<u64>],
-    seed: u64,
-    threads: usize,
-    direction: Direction,
-    cancel: Option<&CancelToken>,
-    ledger: Option<&TouchLedger>,
-) -> (DefaultCounts, CoinUsage) {
-    let next = AtomicUsize::new(0);
-    let partials = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    let mut block = SuperBlock::<W>::new(graph);
-                    let mut kernel = SuperKernel::<W>::new(graph);
-                    let mut counts = DefaultCounts::new(graph.num_nodes());
-                    loop {
-                        if cancel.is_some_and(CancelToken::is_cancelled) {
-                            break;
-                        }
-                        // ORDERING: Relaxed — the counter only hands out
-                        // distinct indices; chunk results flow to the
-                        // merge through thread join, not this atomic.
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(chunk) = chunks.get(i) else { break };
-                        crate::forward::accumulate_forward_chunk(
-                            graph,
-                            coins,
-                            chunk.clone(),
-                            seed,
-                            direction,
-                            &mut block,
-                            &mut kernel,
-                            &mut counts,
-                        );
-                    }
-                    if let Some(ledger) = ledger {
-                        ledger.absorb(block.touched_edges());
-                    }
-                    (counts, block.take_usage())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect::<Vec<_>>()
-    });
-
-    let mut total = DefaultCounts::new(graph.num_nodes());
-    let mut usage = CoinUsage::default();
-    for (p, u) in &partials {
-        total.merge(p);
-        usage.merge(u);
-    }
-    (total, usage)
-}
-
-/// Parallel version of [`crate::reverse::reverse_counts`], on
-/// planner-selected superblocks ([`BlockWords::plan`]).
-pub fn parallel_reverse_counts(
+/// Runs `t` reverse samples (ids `0..t`) over `candidates` and returns
+/// per-candidate default counts (indexed by candidate position), like
+/// [`forward_counts`] with a planned width and a throwaway
+/// [`CoinTable`].
+pub fn reverse_counts(
     graph: &UncertainGraph,
     candidates: &[NodeId],
     t: u64,
     seed: u64,
     threads: usize,
 ) -> DefaultCounts {
+    let coins = CoinTable::new(graph);
     let width = BlockWords::plan(t, threads);
-    parallel_reverse_counts_range_width(
+    parallel_reverse_counts_range_width_traced(
         graph,
-        &CoinTable::new(graph),
+        &coins,
         candidates,
         0..t,
         seed,
         threads,
         width,
+        None,
+        None,
     )
     .0
 }
 
-/// [`parallel_reverse_counts_range_with`] with a throwaway
-/// [`CoinTable`], for callers without a session cache.
-pub fn parallel_reverse_counts_range(
-    graph: &UncertainGraph,
-    candidates: &[NodeId],
-    range: std::ops::Range<u64>,
-    seed: u64,
-    threads: usize,
-) -> DefaultCounts {
-    parallel_reverse_counts_range_with(
-        graph,
-        &CoinTable::new(graph),
-        candidates,
-        range,
-        seed,
-        threads,
-    )
-    .0
-}
-
-/// Parallel version of [`crate::reverse::reverse_counts_range_with`]
-/// (width 1): bit-identical to the sequential range run for any thread
-/// count. Width-selecting callers use
-/// [`parallel_reverse_counts_range_width`].
-pub fn parallel_reverse_counts_range_with(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    candidates: &[NodeId],
-    range: std::ops::Range<u64>,
-    seed: u64,
-    threads: usize,
-) -> (DefaultCounts, CoinUsage) {
-    parallel_reverse_counts_range_width(
-        graph,
-        coins,
-        candidates,
-        range,
-        seed,
-        threads,
-        BlockWords::W1,
-    )
-}
-
-/// [`parallel_reverse_counts_range_with`] on superblocks of the given
-/// width (narrowed by [`fit_width`] when the range is too small to keep
-/// every thread busy at that width): bit-identical to the sequential
-/// width-1 run for any thread count and any width.
+/// Forward samples for the sample ids in `range`, on superblocks of
+/// `width` (narrowed by [`fit_width`]) over up to `threads` workers
+/// (clamped to the machine and the chunk count), traversing in
+/// `direction`. Counts are bit-identical for every width, direction and
+/// thread count.
+///
+/// `cancel` is polled between superblock chunks: a cancelled pass
+/// returns the contiguous chunk-aligned prefix it completed (its exact
+/// sample count is `counts.samples()`), and replaying with that count as
+/// the budget reproduces the prefix bit-identically. `ledger`, when
+/// given, receives every worker's touched-edge set — the revalidation
+/// bookkeeping for delta-aware sampled-state caches; it never changes a
+/// count. Returns the counts plus the merged materialization counters
+/// of every worker.
 #[allow(clippy::too_many_arguments)]
-pub fn parallel_reverse_counts_range_width(
+pub fn parallel_forward_counts_range_width_traced(
     graph: &UncertainGraph,
     coins: &CoinTable,
-    candidates: &[NodeId],
-    range: std::ops::Range<u64>,
+    range: Range<u64>,
     seed: u64,
     threads: usize,
     width: BlockWords,
-) -> (DefaultCounts, CoinUsage) {
-    parallel_reverse_counts_range_width_cancellable(
-        graph, coins, candidates, range, seed, threads, width, None,
-    )
-}
-
-/// [`parallel_reverse_counts_range_width`] polling a [`CancelToken`]
-/// between superblock chunks, with the same contiguous-prefix guarantee
-/// as [`parallel_forward_counts_range_width_cancellable`].
-#[allow(clippy::too_many_arguments)]
-pub fn parallel_reverse_counts_range_width_cancellable(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    candidates: &[NodeId],
-    range: std::ops::Range<u64>,
-    seed: u64,
-    threads: usize,
-    width: BlockWords,
+    direction: Direction,
     cancel: Option<&CancelToken>,
+    ledger: Option<&TouchLedger>,
 ) -> (DefaultCounts, CoinUsage) {
-    parallel_reverse_counts_range_width_traced(
-        graph, coins, candidates, range, seed, threads, width, cancel, None,
-    )
+    let width = fit_width(&range, width, threads);
+    let threads = effective_threads(threads, chunk_count(&range, width));
+    forward_pass(graph, coins, range, seed, threads, width, direction, cancel, ledger)
 }
 
-/// [`parallel_reverse_counts_range_width_cancellable`] that additionally
-/// folds every worker's touched-edge set into `ledger` (see
-/// [`parallel_forward_counts_range_width_traced`]).
+/// Reverse samples over `candidates` for the sample ids in `range`:
+/// one bit-parallel reverse BFS per candidate per superblock, with the
+/// same width fitting, thread clamping, cancellation prefix and ledger
+/// contract as [`parallel_forward_counts_range_width_traced`]. Counts
+/// are indexed by candidate position.
 #[allow(clippy::too_many_arguments)]
 pub fn parallel_reverse_counts_range_width_traced(
     graph: &UncertainGraph,
     coins: &CoinTable,
     candidates: &[NodeId],
-    range: std::ops::Range<u64>,
+    range: Range<u64>,
     seed: u64,
     threads: usize,
     width: BlockWords,
@@ -394,90 +180,147 @@ pub fn parallel_reverse_counts_range_width_traced(
     ledger: Option<&TouchLedger>,
 ) -> (DefaultCounts, CoinUsage) {
     let width = fit_width(&range, width, threads);
-    with_block_words!(width, W, {
-        let chunks: Vec<std::ops::Range<u64>> = superblock_chunks(range.clone(), W).collect();
-        let threads = effective_threads(threads, chunks.len() as u64);
-        if threads == 1 && ledger.is_none() {
-            return crate::reverse::reverse_counts_range_wide_cancellable::<W>(
-                graph, coins, candidates, range, seed, cancel,
-            );
-        }
-        reverse_partitioned::<W>(graph, coins, candidates, &chunks, seed, threads, cancel, ledger)
-    })
+    let threads = effective_threads(threads, chunk_count(&range, width));
+    reverse_pass(graph, coins, candidates, range, seed, threads, width, cancel, ledger)
 }
 
-/// The claim-based multi-thread reverse runner, taking `threads` as-is
-/// (see [`forward_partitioned`] for why it is split out and how
-/// cancellation keeps the completed set a contiguous prefix).
+/// The forward pass at exactly `width` on exactly `threads` workers —
+/// no fitting, no clamping — so tests can force any width on any range
+/// and the threaded merge path on a single core.
 #[allow(clippy::too_many_arguments)]
-fn reverse_partitioned<const W: usize>(
+pub(crate) fn forward_pass(
     graph: &UncertainGraph,
     coins: &CoinTable,
-    candidates: &[NodeId],
-    chunks: &[std::ops::Range<u64>],
+    range: Range<u64>,
     seed: u64,
     threads: usize,
+    width: BlockWords,
+    direction: Direction,
     cancel: Option<&CancelToken>,
     ledger: Option<&TouchLedger>,
 ) -> (DefaultCounts, CoinUsage) {
-    let next = AtomicUsize::new(0);
-    let partials = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    let mut block = SuperBlock::<W>::new(graph);
-                    let mut kernel = SuperKernel::<W>::new(graph);
-                    let mut hits = Vec::with_capacity(candidates.len() * W);
-                    let mut counts = DefaultCounts::new(candidates.len());
-                    loop {
-                        if cancel.is_some_and(CancelToken::is_cancelled) {
-                            break;
-                        }
-                        // ORDERING: Relaxed — distinct-index handout only;
-                        // results synchronize through thread join.
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(chunk) = chunks.get(i) else { break };
-                        crate::reverse::accumulate_reverse_chunk(
-                            graph,
-                            coins,
-                            candidates,
-                            chunk.clone(),
-                            seed,
-                            &mut block,
-                            &mut kernel,
-                            &mut hits,
-                            &mut counts,
-                        );
-                    }
-                    if let Some(ledger) = ledger {
-                        ledger.absorb(block.touched_edges());
-                    }
-                    (counts, block.take_usage())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect::<Vec<_>>()
-    });
+    let slots = graph.num_nodes();
+    with_block_words!(width, W, {
+        run_chunks::<W>(graph, coins, range, seed, slots, threads, cancel, ledger, |w| {
+            let words = w.kernel.forward_defaults_directed(graph, coins, &mut w.block, direction);
+            w.counts.record_words::<W>(words, w.block.lane_masks());
+        })
+    })
+}
 
-    let mut total = DefaultCounts::new(candidates.len());
-    let mut usage = CoinUsage::default();
-    for (p, u) in &partials {
-        total.merge(p);
-        usage.merge(u);
+/// The reverse pass at exactly `width` on exactly `threads` workers
+/// (see [`forward_pass`]).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn reverse_pass(
+    graph: &UncertainGraph,
+    coins: &CoinTable,
+    candidates: &[NodeId],
+    range: Range<u64>,
+    seed: u64,
+    threads: usize,
+    width: BlockWords,
+    cancel: Option<&CancelToken>,
+    ledger: Option<&TouchLedger>,
+) -> (DefaultCounts, CoinUsage) {
+    let slots = candidates.len();
+    with_block_words!(width, W, {
+        run_chunks::<W>(graph, coins, range, seed, slots, threads, cancel, ledger, |w| {
+            w.kernel.reverse_hits_into(graph, coins, &mut w.block, candidates, &mut w.hits);
+            w.counts.record_words::<W>(&w.hits, w.block.lane_masks());
+        })
+    })
+}
+
+/// One pass at exactly `width` on the calling thread alone, in the
+/// default direction: forward over every node, or reverse over
+/// `candidates`. Unit tests pin widths with it that the public passes
+/// would narrow.
+#[cfg(test)]
+pub(crate) fn exact_width_counts(
+    graph: &UncertainGraph,
+    coins: &CoinTable,
+    candidates: Option<&[NodeId]>,
+    range: Range<u64>,
+    seed: u64,
+    width: BlockWords,
+) -> (DefaultCounts, CoinUsage) {
+    match candidates {
+        None => forward_pass(graph, coins, range, seed, 1, width, Direction::default(), None, None),
+        Some(cands) => reverse_pass(graph, coins, cands, range, seed, 1, width, None, None),
     }
-    (total, usage)
+}
+
+/// One worker's scratch: its superblock and kernel, the reverse pass's
+/// hit words, and its partial counts.
+struct Worker<const W: usize> {
+    block: SuperBlock<W>,
+    kernel: SuperKernel<W>,
+    hits: Vec<u64>,
+    counts: DefaultCounts,
+}
+
+/// The chunk runner behind both passes: `threads` workers (the caller
+/// plus `threads − 1` helpers) claim the superblock chunks of `range` at
+/// width `W`, materialize each one, and hand it to `step`, which
+/// evaluates it and records into the worker's `slots` counts. The cancel
+/// token is polled before each claim and a claimed chunk always
+/// finishes, so the completed set is exactly the contiguous prefix of
+/// the decomposition at the counter's final value, whatever the thread
+/// count.
+#[allow(clippy::too_many_arguments)]
+fn run_chunks<const W: usize>(
+    graph: &UncertainGraph,
+    coins: &CoinTable,
+    range: Range<u64>,
+    seed: u64,
+    slots: usize,
+    threads: usize,
+    cancel: Option<&CancelToken>,
+    ledger: Option<&TouchLedger>,
+    step: impl Fn(&mut Worker<W>) + Sync,
+) -> (DefaultCounts, CoinUsage) {
+    let chunks: Vec<Range<u64>> = superblock_chunks(range, W).collect();
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut w = Worker {
+            block: SuperBlock::<W>::new(graph),
+            kernel: SuperKernel::<W>::new(graph),
+            hits: Vec::new(),
+            counts: DefaultCounts::new(slots),
+        };
+        while !cancel.is_some_and(CancelToken::is_cancelled) {
+            // ORDERING: Relaxed — the counter only hands out distinct
+            // indices; chunk results flow to the merge through thread
+            // join, not this atomic.
+            let Some(chunk) = chunks.get(next.fetch_add(1, Ordering::Relaxed)) else { break };
+            let lanes = (chunk.end - chunk.start) as usize;
+            w.block.materialize(graph, coins, seed, chunk.start, lanes);
+            step(&mut w);
+        }
+        if let Some(ledger) = ledger {
+            ledger.absorb(w.block.touched_edges());
+        }
+        (w.counts, w.block.take_usage())
+    };
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let (mut counts, mut usage) = work();
+        for helper in helpers {
+            let (c, u) = helper.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+            counts.merge(&c);
+            usage.merge(&u);
+        }
+        (counts, usage)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::block_chunks;
-    use crate::forward::forward_counts;
-    use crate::reverse::reverse_counts;
+    use crate::coins::ScalarCoins;
+    use crate::forward::ForwardSampler;
+    use crate::reverse::ReverseSampler;
+    use crate::{LANES, MAX_BLOCK_WORDS};
     use ugraph::{from_parts, DuplicateEdgePolicy};
 
     fn graph() -> UncertainGraph {
@@ -489,13 +332,201 @@ mod tests {
         .unwrap()
     }
 
+    /// One scalar-reference mask per sample of `range`: forward over
+    /// every node, or reverse over `candidates`.
+    fn scalar_masks(
+        g: &UncertainGraph,
+        range: Range<u64>,
+        seed: u64,
+        candidates: Option<&[NodeId]>,
+    ) -> Vec<Vec<bool>> {
+        let table = CoinTable::new(g);
+        let mut forward = ForwardSampler::new(g);
+        let mut reverse = ReverseSampler::new(g);
+        range
+            .map(|i| match candidates {
+                None => forward.sample_mask(g, &table, &ScalarCoins::new(seed, i)),
+                Some(cands) => {
+                    let mut mask = Vec::new();
+                    reverse.sample_candidates(
+                        g,
+                        &table,
+                        cands,
+                        ScalarCoins::new(seed, i),
+                        &mut mask,
+                    );
+                    mask
+                }
+            })
+            .collect()
+    }
+
+    fn oracle(masks: &[Vec<bool>], slots: usize) -> DefaultCounts {
+        let mut counts = DefaultCounts::new(slots);
+        masks.iter().for_each(|m| counts.record_mask(m));
+        counts
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Cancel {
+        Never,
+        Before,
+        MidRun,
+    }
+
+    #[test]
+    fn partitioned_runners_bit_identical_at_forced_thread_counts() {
+        // Drive the pass entries directly so the threaded merge path runs
+        // even where available_parallelism() == 1; one thread is the
+        // caller alone. Every cell — thread count × ledger × cancel ×
+        // direction × width — must be the scalar oracle over the prefix
+        // it completed.
+        let g = graph();
+        let coins = CoinTable::new(&g);
+        let cands = [NodeId(3), NodeId(1), NodeId(0)];
+        let range = 37..1500u64;
+        let seed = 9;
+        for reverse in [false, true] {
+            let targets = reverse.then_some(&cands[..]);
+            let slots = targets.map_or(g.num_nodes(), <[NodeId]>::len);
+            let masks = scalar_masks(&g, range.clone(), seed, targets);
+            let pass = |range: Range<u64>,
+                        threads: usize,
+                        width: BlockWords,
+                        cancel: Option<&CancelToken>,
+                        ledger: Option<&TouchLedger>| match targets {
+                None => forward_pass(
+                    &g,
+                    &coins,
+                    range,
+                    seed,
+                    threads,
+                    width,
+                    Direction::Auto,
+                    cancel,
+                    ledger,
+                ),
+                Some(cands) => {
+                    reverse_pass(&g, &coins, cands, range, seed, threads, width, cancel, ledger)
+                }
+            };
+            for width in [BlockWords::W1, BlockWords::W4] {
+                let mut full_touches = None;
+                for threads in [1, 2, 3, 5] {
+                    for traced in [false, true] {
+                        for cancel in [Cancel::Never, Cancel::Before, Cancel::MidRun] {
+                            let cell = format!(
+                                "reverse {reverse}, width {width}, threads {threads}, \
+                                 traced {traced}, cancel {cancel:?}"
+                            );
+                            let ledger = traced.then(|| TouchLedger::new(g.num_edges()));
+                            let token = CancelToken::new();
+                            if let Cancel::Before = cancel {
+                                token.cancel();
+                            }
+                            let polled = match cancel {
+                                Cancel::Never => None,
+                                Cancel::Before | Cancel::MidRun => Some(&token),
+                            };
+                            let (counts, usage) = std::thread::scope(|scope| {
+                                if let Cancel::MidRun = cancel {
+                                    let token = token.clone();
+                                    scope.spawn(move || token.cancel());
+                                }
+                                pass(range.clone(), threads, width, polled, ledger.as_ref())
+                            });
+                            let used = counts.samples();
+                            assert_eq!(counts, oracle(&masks[..used as usize], slots), "{cell}");
+                            let end = range.start + used;
+                            match cancel {
+                                Cancel::Never => assert_eq!(end, range.end, "{cell}"),
+                                Cancel::Before => assert_eq!(used, 0, "{cell}"),
+                                Cancel::MidRun => {
+                                    assert!(
+                                        used == 0 || end == range.end || end % width.lanes() == 0,
+                                        "{cell}: prefix must end on a chunk boundary"
+                                    );
+                                    let replay =
+                                        pass(range.start..end, threads, width, None, None).0;
+                                    assert_eq!(replay, counts, "{cell}: prefix replay");
+                                }
+                            }
+                            // Lazy accounting covers every home block of the
+                            // completed prefix exactly once, whatever the
+                            // partition.
+                            let home_blocks =
+                                if used == 0 { 0 } else { (end - 1) / 64 - range.start / 64 + 1 };
+                            assert_eq!(
+                                usage.edge_words_materialized + usage.edge_words_skipped,
+                                home_blocks * g.num_edges() as u64,
+                                "{cell}"
+                            );
+                            // A full traced pass touches the same edges at
+                            // every thread count.
+                            if let (Some(ledger), Cancel::Never) = (&ledger, cancel) {
+                                let touches = ledger.snapshot();
+                                assert!(touches.count() > 0, "{cell}");
+                                assert_eq!(
+                                    full_touches.get_or_insert_with(|| touches.clone()),
+                                    &touches,
+                                    "{cell}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exact_widths_match_the_oracle_on_lone_partial_superblocks() {
+        // The public passes fit their width to the range, so a range
+        // inside one widest superblock never reaches a wide kernel through
+        // them. Pin every width here, in every direction and in reverse,
+        // on ranges that leave a lone partial superblock at the wide ones.
+        let span = (MAX_BLOCK_WORDS * LANES) as u64;
+        ugraph::testkit::check(12, |rng| {
+            let g = ugraph::testkit::random_graph(rng, 24, 60);
+            let coins = CoinTable::new(&g);
+            let cands: Vec<NodeId> = g.nodes().step_by(3).collect();
+            let seed = rng.next_u64();
+            let start = rng.next_bounded(3 * span);
+            let inside = start..start + 1 + rng.next_bounded(span - start % span);
+            for range in [0..1, 0..63, 5..200, 70..511, 300..512, inside] {
+                let forward = oracle(&scalar_masks(&g, range.clone(), seed, None), g.num_nodes());
+                let masks = scalar_masks(&g, range.clone(), seed, Some(&cands));
+                let reverse = oracle(&masks, cands.len());
+                for width in BlockWords::ALL {
+                    for direction in Direction::ALL {
+                        let (counts, _) = forward_pass(
+                            &g,
+                            &coins,
+                            range.clone(),
+                            seed,
+                            1,
+                            width,
+                            direction,
+                            None,
+                            None,
+                        );
+                        assert_eq!(counts, forward, "{range:?}, width {width}, {direction}");
+                    }
+                    let (counts, _) =
+                        exact_width_counts(&g, &coins, Some(&cands), range.clone(), seed, width);
+                    assert_eq!(counts, reverse, "reverse {range:?}, width {width}");
+                }
+            }
+        });
+    }
+
     #[test]
     fn parallel_forward_bit_identical_to_sequential() {
         let g = graph();
-        let seq = forward_counts(&g, 1000, 42);
-        for threads in [1, 2, 3, 8] {
-            let par = parallel_forward_counts(&g, 1000, 42, threads);
-            assert_eq!(par, seq, "threads = {threads}");
+        let seq = forward_counts(&g, 1000, 42, 1);
+        assert_eq!(seq, oracle(&scalar_masks(&g, 0..1000, 42, None), g.num_nodes()));
+        for threads in [2, 3, 8] {
+            assert_eq!(forward_counts(&g, 1000, 42, threads), seq, "threads = {threads}");
         }
     }
 
@@ -503,99 +534,24 @@ mod tests {
     fn parallel_reverse_bit_identical_to_sequential() {
         let g = graph();
         let cands: Vec<NodeId> = g.nodes().collect();
-        let seq = reverse_counts(&g, &cands, 1000, 7);
+        let seq = reverse_counts(&g, &cands, 1000, 7, 1);
+        assert_eq!(seq, forward_counts(&g, 1000, 7, 1), "reverse over every node is forward");
         for threads in [2, 4] {
-            let par = parallel_reverse_counts(&g, &cands, 1000, 7, threads);
-            assert_eq!(par, seq, "threads = {threads}");
+            assert_eq!(reverse_counts(&g, &cands, 1000, 7, threads), seq, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn partitioned_runners_bit_identical_at_forced_thread_counts() {
-        // Drive the strided runners directly so the threaded merge path
-        // is exercised even where available_parallelism() == 1 — at
-        // width 1 and at the wide widths.
-        let g = graph();
-        let coins = CoinTable::new(&g);
-        let chunks: Vec<std::ops::Range<u64>> = block_chunks(37..411).collect();
-        let seq = crate::forward::forward_counts_range(&g, 37..411, 9);
-        for threads in [2, 3, 5] {
-            let (par, usage) = forward_partitioned::<1>(
-                &g,
-                &coins,
-                &chunks,
-                9,
-                threads,
-                Direction::Auto,
-                None,
-                None,
-            );
-            assert_eq!(par, seq, "threads = {threads}");
-            // Lazy accounting covers every block exactly once regardless
-            // of the partition.
-            assert_eq!(
-                usage.edge_words_materialized + usage.edge_words_skipped,
-                chunks.len() as u64 * g.num_edges() as u64,
-                "threads = {threads}"
-            );
-        }
-        let wide_chunks: Vec<std::ops::Range<u64>> = superblock_chunks(37..1500, 4).collect();
-        let wide_seq = crate::forward::forward_counts_range(&g, 37..1500, 9);
-        for threads in [2, 3] {
-            let (par, _) = forward_partitioned::<4>(
-                &g,
-                &coins,
-                &wide_chunks,
-                9,
-                threads,
-                Direction::Auto,
-                None,
-                None,
-            );
-            assert_eq!(par, wide_seq, "width 4, threads = {threads}");
-        }
-        let cands: Vec<NodeId> = g.nodes().collect();
-        let rseq = crate::reverse::reverse_counts_range(&g, &cands, 37..411, 9);
-        for threads in [2, 4] {
-            assert_eq!(
-                reverse_partitioned::<1>(&g, &coins, &cands, &chunks, 9, threads, None, None).0,
-                rseq,
-                "threads = {threads}"
-            );
-        }
-        let rchunks: Vec<std::ops::Range<u64>> = superblock_chunks(37..411, 2).collect();
-        assert_eq!(
-            reverse_partitioned::<2>(&g, &coins, &cands, &rchunks, 9, 2, None, None).0,
-            rseq
-        );
     }
 
     #[test]
     fn pre_cancelled_runs_return_empty_prefix() {
+        // The width-fitting entry points honour the token too, inline on
+        // the caller (threads = 1) and threaded.
         let g = graph();
         let coins = CoinTable::new(&g);
         let token = CancelToken::new();
         token.cancel();
-        let chunks: Vec<std::ops::Range<u64>> = block_chunks(0..500).collect();
-        let (f, _) = forward_partitioned::<1>(
-            &g,
-            &coins,
-            &chunks,
-            9,
-            3,
-            Direction::Auto,
-            Some(&token),
-            None,
-        );
-        assert_eq!(f.samples(), 0);
         let cands: Vec<NodeId> = g.nodes().collect();
-        let (r, _) =
-            reverse_partitioned::<1>(&g, &coins, &cands, &chunks, 9, 3, Some(&token), None);
-        assert_eq!(r.samples(), 0);
-        // The width-dispatching entry points honour the token too, on
-        // both the sequential (threads = 1) and threaded paths.
         for threads in [1, 4] {
-            let (f, _) = parallel_forward_counts_range_width_cancellable(
+            let (f, _) = parallel_forward_counts_range_width_traced(
                 &g,
                 &coins,
                 0..500,
@@ -604,9 +560,10 @@ mod tests {
                 BlockWords::W1,
                 Direction::Auto,
                 Some(&token),
+                None,
             );
             assert_eq!(f.samples(), 0, "threads = {threads}");
-            let (r, _) = parallel_reverse_counts_range_width_cancellable(
+            let (r, _) = parallel_reverse_counts_range_width_traced(
                 &g,
                 &coins,
                 &cands,
@@ -615,6 +572,7 @@ mod tests {
                 threads,
                 BlockWords::W1,
                 Some(&token),
+                None,
             );
             assert_eq!(r.samples(), 0, "threads = {threads}");
         }
@@ -630,12 +588,10 @@ mod tests {
         let g = graph();
         let coins = CoinTable::new(&g);
         let token = CancelToken::new();
-        let (counts, _) = std::thread::scope(|scope| {
-            let canceller = {
-                let token = token.clone();
-                scope.spawn(move || token.cancel())
-            };
-            let out = parallel_forward_counts_range_width_cancellable(
+        let counts = std::thread::scope(|scope| {
+            let token2 = token.clone();
+            scope.spawn(move || token2.cancel());
+            parallel_forward_counts_range_width_traced(
                 &g,
                 &coins,
                 0..51_200,
@@ -644,22 +600,14 @@ mod tests {
                 BlockWords::W1,
                 Direction::Auto,
                 Some(&token),
-            );
-            canceller.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-            out
+                None,
+            )
+            .0
         });
         let used = counts.samples();
-        assert_eq!(used % crate::LANES as u64, 0, "prefix must be block-aligned");
+        assert_eq!(used % LANES as u64, 0, "prefix must be block-aligned");
         for threads in [1, 2, 5] {
-            let (replay, _) = parallel_forward_counts_range_width(
-                &g,
-                &coins,
-                0..used,
-                11,
-                threads,
-                BlockWords::W1,
-            );
-            assert_eq!(replay, counts, "replay threads = {threads}");
+            assert_eq!(forward_counts(&g, used, 11, threads), counts, "replay threads = {threads}");
         }
     }
 
@@ -667,15 +615,23 @@ mod tests {
     fn width_requests_are_bit_identical_for_any_thread_count() {
         let g = graph();
         let coins = CoinTable::new(&g);
-        let seq = crate::forward::forward_counts_range(&g, 0..900, 3);
+        let seq = oracle(&scalar_masks(&g, 0..900, 3, None), g.num_nodes());
         let cands: Vec<NodeId> = g.nodes().collect();
-        let rseq = crate::reverse::reverse_counts_range(&g, &cands, 0..900, 3);
         for width in BlockWords::ALL {
             for threads in [1, 2, 8] {
-                let (f, _) =
-                    parallel_forward_counts_range_width(&g, &coins, 0..900, 3, threads, width);
+                let (f, _) = parallel_forward_counts_range_width_traced(
+                    &g,
+                    &coins,
+                    0..900,
+                    3,
+                    threads,
+                    width,
+                    Direction::Auto,
+                    None,
+                    None,
+                );
                 assert_eq!(f, seq, "forward width {width}, threads {threads}");
-                let (r, _) = parallel_reverse_counts_range_width(
+                let (r, _) = parallel_reverse_counts_range_width_traced(
                     &g,
                     &coins,
                     &cands,
@@ -683,8 +639,10 @@ mod tests {
                     3,
                     threads,
                     width,
+                    None,
+                    None,
                 );
-                assert_eq!(r, rseq, "reverse width {width}, threads {threads}");
+                assert_eq!(r, seq, "reverse width {width}, threads {threads}");
             }
         }
     }
@@ -693,7 +651,7 @@ mod tests {
     fn traced_runs_are_bit_identical_and_record_touches() {
         let g = graph();
         let coins = CoinTable::new(&g);
-        let plain = parallel_forward_counts_range_width(&g, &coins, 0..900, 3, 2, BlockWords::W2).0;
+        let plain = forward_counts(&g, 900, 3, 2);
         let ledger = TouchLedger::new(g.num_edges());
         for threads in [1, 3] {
             let (traced, _) = parallel_forward_counts_range_width_traced(
@@ -715,8 +673,7 @@ mod tests {
         assert_eq!(ledger.count(), g.num_edges());
 
         let cands: Vec<NodeId> = g.nodes().collect();
-        let rplain =
-            parallel_reverse_counts_range_width(&g, &coins, &cands, 0..900, 3, 2, BlockWords::W1).0;
+        let rplain = reverse_counts(&g, &cands, 900, 3, 2);
         let rledger = TouchLedger::new(g.num_edges());
         let (rtraced, _) = parallel_reverse_counts_range_width_traced(
             &g,
@@ -749,26 +706,28 @@ mod tests {
         .unwrap();
         let coins = CoinTable::new(&g);
         let ledger = TouchLedger::new(g.num_edges());
-        let before = parallel_forward_counts_range_width_traced(
-            &g,
-            &coins,
-            0..2000,
-            21,
-            3,
-            BlockWords::W2,
-            Direction::Auto,
-            None,
-            Some(&ledger),
-        )
-        .0;
+        let run = |g: &UncertainGraph, coins: &CoinTable, ledger| {
+            parallel_forward_counts_range_width_traced(
+                g,
+                coins,
+                0..2000,
+                21,
+                3,
+                BlockWords::W2,
+                Direction::Auto,
+                None,
+                ledger,
+            )
+            .0
+        };
+        let before = run(&g, &coins, Some(&ledger));
         let dormant = g.find_edge(NodeId(4), NodeId(0)).unwrap();
         assert!(!ledger.intersects(&[dormant.0]), "dormant edge must never materialize");
 
         g.set_edge_prob(dormant, 0.01).unwrap();
         let mut patched = coins.clone();
         patched.patch(&g, &[], &[dormant.0]);
-        let after =
-            parallel_forward_counts_range_width(&g, &patched, 0..2000, 21, 3, BlockWords::W2).0;
+        let after = run(&g, &patched, None);
         assert_eq!(after, before, "untouched-edge delta changed sampled counts");
     }
 
@@ -811,8 +770,8 @@ mod tests {
     fn thread_count_edge_cases() {
         let g = graph();
         // zero threads clamps to 1; more threads than blocks also works.
-        let a = parallel_forward_counts(&g, 5, 1, 0);
-        let b = parallel_forward_counts(&g, 5, 1, 128);
+        let a = forward_counts(&g, 5, 1, 0);
+        let b = forward_counts(&g, 5, 1, 128);
         assert_eq!(a, b);
         assert_eq!(a.samples(), 5);
     }
@@ -820,7 +779,7 @@ mod tests {
     #[test]
     fn zero_samples() {
         let g = graph();
-        let c = parallel_forward_counts(&g, 0, 1, 4);
+        let c = forward_counts(&g, 0, 1, 4);
         assert_eq!(c.samples(), 0);
     }
 

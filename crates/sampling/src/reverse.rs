@@ -18,17 +18,14 @@
 //!   DESIGN.md). Coins are drawn lazily where the reverse BFS touches
 //!   them — the paper's original lazy-coin regime, restored by the
 //!   stateless generator.
-//! * [`reverse_counts_range`] — the **runtime path** on the bit-parallel
-//!   [`BlockKernel`](crate::BlockKernel): one reverse BFS per candidate advances all 64
-//!   worlds of a block at once, and an edge's 64-lane word is
-//!   synthesized only when some candidate's frontier first crosses it —
-//!   `O(edges reached)` coins per block, not `O(m)`.
+//! * [`reverse_counts`](crate::reverse_counts) — the **runtime path**
+//!   (see [`crate::parallel`]) on the bit-parallel
+//!   [`SuperKernel`](crate::SuperKernel): one reverse BFS per candidate
+//!   advances all `W·64` worlds of a superblock at once, and an edge's
+//!   lane words are synthesized only when some candidate's frontier
+//!   first crosses it — `O(edges reached)` coins per block, not `O(m)`.
 
-use crate::block::{superblock_chunks, SuperBlock, SuperKernel};
-use crate::cancel::CancelToken;
-use crate::coins::{CoinTable, CoinUsage, ScalarCoins};
-use crate::counts::DefaultCounts;
-use crate::width::{with_block_words, BlockWords};
+use crate::coins::{CoinTable, ScalarCoins};
 use ugraph::{NodeId, UncertainGraph};
 
 /// Reusable scalar reverse sampler — the semantic reference for the
@@ -177,141 +174,12 @@ impl ReverseSampler {
     }
 }
 
-/// Runs `t` reverse samples (ids `0..t`) over `candidates` and returns
-/// per-candidate default counts (indexed by candidate position).
-pub fn reverse_counts(
-    graph: &UncertainGraph,
-    candidates: &[NodeId],
-    t: u64,
-    seed: u64,
-) -> DefaultCounts {
-    reverse_counts_range(graph, candidates, 0..t, seed)
-}
-
-/// [`reverse_counts_range_with`] with a throwaway [`CoinTable`], for
-/// callers without a session cache.
-pub fn reverse_counts_range(
-    graph: &UncertainGraph,
-    candidates: &[NodeId],
-    range: std::ops::Range<u64>,
-    seed: u64,
-) -> DefaultCounts {
-    reverse_counts_range_with(graph, &CoinTable::new(graph), candidates, range, seed).0
-}
-
-/// Runs reverse samples for the given range of sample ids on the block
-/// kernel: 64 worlds per [`WorldBlock`](crate::WorldBlock), one bit-parallel reverse BFS
-/// per candidate per block, frontier-lazy edge words. Returns the
-/// counts plus the materialization-cost counters.
-///
-/// Sample `i` always draws from the counter-RNG stream derived from
-/// `(seed, i)`, so counts over disjoint ranges merge into exactly the
-/// counts of the union range — the property the engine's incremental
-/// sample cache extends prefixes with — and the result is bit-identical
-/// both to the scalar [`ReverseSampler`] reference and to
-/// [`forward_counts_range`](crate::forward_counts_range) restricted to
-/// `candidates`.
-pub fn reverse_counts_range_with(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    candidates: &[NodeId],
-    range: std::ops::Range<u64>,
-    seed: u64,
-) -> (DefaultCounts, CoinUsage) {
-    reverse_counts_range_wide::<1>(graph, coins, candidates, range, seed)
-}
-
-/// [`reverse_counts_range_with`] on `W`-word superblocks: one
-/// bit-parallel reverse BFS per candidate decides all `W·64` worlds of
-/// a superblock at once. Counts are bit-identical at every width —
-/// width is purely a throughput knob (see [`BlockWords`]).
-pub fn reverse_counts_range_wide<const W: usize>(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    candidates: &[NodeId],
-    range: std::ops::Range<u64>,
-    seed: u64,
-) -> (DefaultCounts, CoinUsage) {
-    reverse_counts_range_wide_cancellable::<W>(graph, coins, candidates, range, seed, None)
-}
-
-/// [`reverse_counts_range_wide`] polling a [`CancelToken`] once per
-/// superblock chunk. A cancelled pass stops at the next chunk boundary
-/// and returns the chunk-aligned **prefix** it completed; the exact
-/// sample count is `counts.samples()`, and re-running the range
-/// truncated to that count reproduces the prefix bit-identically.
-pub fn reverse_counts_range_wide_cancellable<const W: usize>(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    candidates: &[NodeId],
-    range: std::ops::Range<u64>,
-    seed: u64,
-    cancel: Option<&CancelToken>,
-) -> (DefaultCounts, CoinUsage) {
-    let mut counts = DefaultCounts::new(candidates.len());
-    let mut block = SuperBlock::<W>::new(graph);
-    let mut kernel = SuperKernel::<W>::new(graph);
-    let mut hits = Vec::with_capacity(candidates.len() * W);
-    for chunk in superblock_chunks(range, W) {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            break;
-        }
-        accumulate_reverse_chunk(
-            graph,
-            coins,
-            candidates,
-            chunk,
-            seed,
-            &mut block,
-            &mut kernel,
-            &mut hits,
-            &mut counts,
-        );
-    }
-    (counts, block.take_usage())
-}
-
-/// [`reverse_counts_range_wide`] with a runtime-selected width.
-pub fn reverse_counts_range_width(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    candidates: &[NodeId],
-    range: std::ops::Range<u64>,
-    seed: u64,
-    width: BlockWords,
-) -> (DefaultCounts, CoinUsage) {
-    with_block_words!(
-        width,
-        W,
-        reverse_counts_range_wide::<W>(graph, coins, candidates, range, seed)
-    )
-}
-
-/// Materializes and evaluates one ≤`W·64`-sample chunk over
-/// `candidates`, accumulating into `counts`. Shared with the parallel
-/// driver.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn accumulate_reverse_chunk<const W: usize>(
-    graph: &UncertainGraph,
-    coins: &CoinTable,
-    candidates: &[NodeId],
-    chunk: std::ops::Range<u64>,
-    seed: u64,
-    block: &mut SuperBlock<W>,
-    kernel: &mut SuperKernel<W>,
-    hits: &mut Vec<u64>,
-    counts: &mut DefaultCounts,
-) {
-    let lanes = (chunk.end - chunk.start) as usize;
-    block.materialize(graph, coins, seed, chunk.start, lanes);
-    kernel.reverse_hits_into(graph, coins, block, candidates, hits);
-    counts.record_words::<W>(hits, block.lane_masks());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forward::forward_counts;
+    use crate::counts::DefaultCounts;
+    use crate::parallel::exact_width_counts;
+    use crate::{forward_counts, reverse_counts, BlockWords};
     use ugraph::{from_parts, DuplicateEdgePolicy};
 
     fn chain() -> UncertainGraph {
@@ -326,7 +194,7 @@ mod tests {
     #[test]
     fn certain_chain_always_infects() {
         let g = from_parts(&[1.0, 0.0], &[(0, 1, 1.0)], DuplicateEdgePolicy::Error).unwrap();
-        let counts = reverse_counts(&g, &all_nodes(&g), 100, 1);
+        let counts = reverse_counts(&g, &all_nodes(&g), 100, 1, 1);
         assert_eq!(counts.estimate(0), 1.0);
         assert_eq!(counts.estimate(1), 1.0);
     }
@@ -334,7 +202,7 @@ mod tests {
     #[test]
     fn impossible_chain_never_infects() {
         let g = from_parts(&[0.0, 0.0], &[(0, 1, 1.0)], DuplicateEdgePolicy::Error).unwrap();
-        let counts = reverse_counts(&g, &all_nodes(&g), 100, 1);
+        let counts = reverse_counts(&g, &all_nodes(&g), 100, 1, 1);
         assert_eq!(counts.count(0), 0);
         assert_eq!(counts.count(1), 0);
     }
@@ -346,8 +214,8 @@ mod tests {
         // projection of forward.
         let g = chain();
         for t in [1u64, 63, 64, 200] {
-            let fwd = forward_counts(&g, t, 5);
-            let rev = reverse_counts(&g, &all_nodes(&g), t, 5);
+            let fwd = forward_counts(&g, t, 5, 1);
+            let rev = reverse_counts(&g, &all_nodes(&g), t, 5, 1);
             assert_eq!(rev, fwd, "t = {t}");
         }
     }
@@ -361,7 +229,7 @@ mod tests {
         )
         .unwrap();
         let t = 500;
-        assert_eq!(reverse_counts(&g, &all_nodes(&g), t, 8), forward_counts(&g, t, 8));
+        assert_eq!(reverse_counts(&g, &all_nodes(&g), t, 8, 1), forward_counts(&g, t, 8, 1));
     }
 
     #[test]
@@ -392,7 +260,11 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(counts, reverse_counts(&g, &cands, 300, 11), "negative cache = {variant}");
+            assert_eq!(
+                counts,
+                reverse_counts(&g, &cands, 300, 11, 1),
+                "negative cache = {variant}"
+            );
         }
     }
 
@@ -429,7 +301,7 @@ mod tests {
     fn reverse_counts_reproducible() {
         let g = chain();
         let cands = all_nodes(&g);
-        assert_eq!(reverse_counts(&g, &cands, 300, 2), reverse_counts(&g, &cands, 300, 2));
+        assert_eq!(reverse_counts(&g, &cands, 300, 2, 1), reverse_counts(&g, &cands, 300, 2, 1));
     }
 
     #[test]
@@ -443,10 +315,10 @@ mod tests {
         let table = CoinTable::new(&g);
         let cands = all_nodes(&g);
         for range in [0..100u64, 0..600, 70..300] {
-            let fwd = crate::forward::forward_counts_range_with(&g, &table, range.clone(), 8).0;
-            for width in crate::BlockWords::ALL {
+            let (fwd, _) = exact_width_counts(&g, &table, None, range.clone(), 8, BlockWords::W1);
+            for width in BlockWords::ALL {
                 let (counts, _) =
-                    reverse_counts_range_width(&g, &table, &cands, range.clone(), 8, width);
+                    exact_width_counts(&g, &table, Some(&cands), range.clone(), 8, width);
                 assert_eq!(counts, fwd, "range {range:?}, width {width}");
             }
         }
@@ -457,10 +329,10 @@ mod tests {
         // Worlds are shared state, not per-candidate: a singleton run
         // sees exactly the worlds of the full run.
         let g = chain();
-        let full = reverse_counts(&g, &all_nodes(&g), 500, 3);
-        let single = reverse_counts(&g, &[NodeId(2)], 500, 3);
+        let full = reverse_counts(&g, &all_nodes(&g), 500, 3, 1);
+        let single = reverse_counts(&g, &[NodeId(2)], 500, 3, 1);
         assert_eq!(single.count(0), full.count(2));
-        let counts = reverse_counts(&g, &[NodeId(2)], 20_000, 3);
+        let counts = reverse_counts(&g, &[NodeId(2)], 20_000, 3, 1);
         assert_eq!(counts.len(), 1);
         assert!((counts.estimate(0) - 0.125).abs() < 0.02);
     }
@@ -475,7 +347,8 @@ mod tests {
         let edges: Vec<(u32, u32, f64)> = (0..n as u32 - 1).map(|v| (v, v + 1, 0.5)).collect();
         let g = from_parts(&risks, &edges, DuplicateEdgePolicy::Error).unwrap();
         let table = CoinTable::new(&g);
-        let (_, usage) = reverse_counts_range_with(&g, &table, &[NodeId(1)], 0..128, 17);
+        let (_, usage) =
+            exact_width_counts(&g, &table, Some(&[NodeId(1)]), 0..128, 17, BlockWords::W1);
         assert!(
             usage.edge_words_materialized <= 2 * 2,
             "candidate 1 has one in-edge per world-block, got {}",

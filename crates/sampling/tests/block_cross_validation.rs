@@ -11,12 +11,14 @@
 //! parallel drivers, for any seed, any thread count, and any budget
 //! including `t % 64 != 0`.
 
+mod common;
+
+use common::{forward_range, oracle_forward_counts, reverse_range};
 use ugraph::testkit::{check, random_graph, TestRng};
 use ugraph::{NodeId, UncertainGraph};
 use vulnds_sampling::{
-    forward_counts, forward_counts_range, parallel_forward_counts_range,
-    parallel_reverse_counts_range, reverse_counts, reverse_counts_range, BlockKernel, CoinTable,
-    DefaultCounts, ForwardSampler, PossibleWorld, ReverseSampler, ScalarCoins, WorldBlock, LANES,
+    forward_counts, reverse_counts, BlockKernel, BlockWords, CoinTable, DefaultCounts, Direction,
+    ForwardSampler, PossibleWorld, ReverseSampler, ScalarCoins, WorldBlock, LANES,
 };
 
 fn arb_graph(rng: &mut TestRng) -> UncertainGraph {
@@ -26,22 +28,6 @@ fn arb_graph(rng: &mut TestRng) -> UncertainGraph {
 /// A budget straddling block boundaries most of the time.
 fn arb_budget(rng: &mut TestRng) -> u64 {
     rng.range_usize(1, 3 * LANES + 7) as u64
-}
-
-/// The oracle: materialize every world one at a time and record its
-/// defaulted-node mask.
-fn oracle_forward_counts(
-    g: &UncertainGraph,
-    range: std::ops::Range<u64>,
-    seed: u64,
-) -> DefaultCounts {
-    let table = CoinTable::new(g);
-    let mut counts = DefaultCounts::new(g.num_nodes());
-    for i in range {
-        let world = PossibleWorld::sample_with_table(g, &table, seed, i);
-        counts.record_mask(&world.defaulted_nodes(g));
-    }
-    counts
 }
 
 /// The oracle projected onto a candidate list.
@@ -71,7 +57,7 @@ fn forward_block_equals_oracle_and_scalar_and_parallel() {
         let g = arb_graph(rng);
         let t = arb_budget(rng);
         let seed = rng.next_bounded(1 << 20);
-        let blockwise = forward_counts(&g, t, seed);
+        let blockwise = forward_counts(&g, t, seed, 1);
 
         assert_eq!(blockwise, oracle_forward_counts(&g, 0..t, seed), "oracle, t = {t}");
 
@@ -86,7 +72,7 @@ fn forward_block_equals_oracle_and_scalar_and_parallel() {
 
         for threads in [2usize, 3, 7] {
             assert_eq!(
-                parallel_forward_counts_range(&g, 0..t, seed, threads),
+                forward_counts(&g, t, seed, threads),
                 blockwise,
                 "threads = {threads}, t = {t}"
             );
@@ -112,7 +98,7 @@ fn reverse_block_equals_oracle_and_scalar_and_parallel() {
             (0..rng.range_usize(1, n)).map(|_| NodeId(rng.next_bounded(n as u64) as u32)).collect()
         };
 
-        let blockwise = reverse_counts(&g, &candidates, t, seed);
+        let blockwise = reverse_counts(&g, &candidates, t, seed, 1);
         assert_eq!(blockwise, oracle_reverse_counts(&g, &candidates, t, seed), "oracle, t = {t}");
 
         let table = CoinTable::new(&g);
@@ -144,7 +130,7 @@ fn reverse_block_equals_oracle_and_scalar_and_parallel() {
 
         for threads in [2usize, 5] {
             assert_eq!(
-                parallel_reverse_counts_range(&g, &candidates, 0..t, seed, threads),
+                reverse_counts(&g, &candidates, t, seed, threads),
                 blockwise,
                 "threads = {threads}, t = {t}"
             );
@@ -164,15 +150,19 @@ fn unaligned_range_splits_merge_exactly() {
         let seed = rng.next_bounded(1 << 20);
         let end = arb_budget(rng) + arb_budget(rng);
         let cut = rng.next_bounded(end);
-        let whole = forward_counts_range(&g, 0..end, seed);
-        let mut parts = forward_counts_range(&g, 0..cut, seed);
-        parts.merge(&forward_counts_range(&g, cut..end, seed));
+        let table = CoinTable::new(&g);
+        let (w1, direction) = (BlockWords::W1, Direction::default());
+        let forward = |range| forward_range(&g, &table, range, seed, 1, w1, direction).0;
+        let whole = forward(0..end);
+        let mut parts = forward(0..cut);
+        parts.merge(&forward(cut..end));
         assert_eq!(whole, parts, "cut {cut} of {end}");
 
         let candidates: Vec<NodeId> = g.nodes().collect();
-        let whole_r = reverse_counts_range(&g, &candidates, 0..end, seed);
-        let mut parts_r = reverse_counts_range(&g, &candidates, 0..cut, seed);
-        parts_r.merge(&reverse_counts_range(&g, &candidates, cut..end, seed));
+        let reverse = |range| reverse_range(&g, &table, &candidates, range, seed, 1, w1).0;
+        let whole_r = reverse(0..end);
+        let mut parts_r = reverse(0..cut);
+        parts_r.merge(&reverse(cut..end));
         assert_eq!(whole_r, parts_r, "reverse cut {cut} of {end}");
     });
 }

@@ -10,11 +10,14 @@
 //! (c) **partial blocks** — budgets with `t % 64 != 0` and chunks that
 //!     start mid-block (high-lane masks) reproduce the oracle.
 
+mod common;
+
+use common::{forward_range, reverse_range};
 use ugraph::testkit::{check, random_graph, TestRng};
 use ugraph::{from_parts, DuplicateEdgePolicy, NodeId, UncertainGraph};
 use vulnds_sampling::{
-    forward_counts_range_with, reverse_counts_range_with, BlockKernel, CoinTable, DefaultCounts,
-    PossibleWorld, ScalarCoins, WorldBlock, LANES,
+    BlockKernel, BlockWords, CoinTable, DefaultCounts, Direction, PossibleWorld, ScalarCoins,
+    WorldBlock, LANES,
 };
 
 fn arb_graph(rng: &mut TestRng) -> UncertainGraph {
@@ -117,7 +120,8 @@ fn dyadic_frequencies_match_fixed_point_probabilities() {
     let g = from_parts(&ps, &[], DuplicateEdgePolicy::Error).unwrap();
     let table = CoinTable::new(&g);
     let t = 40_000u64;
-    let (counts, usage) = forward_counts_range_with(&g, &table, 0..t, 99);
+    let (w1, direction) = (BlockWords::W1, Direction::default());
+    let (counts, usage) = forward_range(&g, &table, 0..t, 99, 1, w1, direction);
     assert_eq!(counts.count(0), 0, "p = 0 fired");
     assert_eq!(counts.count(1), t, "p = 1 missed");
     for (v, &p) in ps.iter().enumerate().skip(2) {
@@ -146,21 +150,23 @@ fn partial_blocks_match_oracle_under_new_contract() {
             oracle.record_mask(&world.defaulted_nodes(&g));
         }
 
-        let (whole, _) = forward_counts_range_with(&g, &table, 0..t, seed);
+        let (w1, direction) = (BlockWords::W1, Direction::default());
+        let forward = |range| forward_range(&g, &table, range, seed, 1, w1, direction);
+        let (whole, _) = forward(0..t);
         assert_eq!(whole, oracle, "whole range, t = {t}");
 
         // Random split points: the middle part starts and ends mid-block
         // almost always.
         let a = rng.next_bounded(t + 1);
         let b = a + rng.next_bounded(t - a + 1);
-        let mut parts = forward_counts_range_with(&g, &table, 0..a, seed).0;
-        parts.merge(&forward_counts_range_with(&g, &table, a..b, seed).0);
-        parts.merge(&forward_counts_range_with(&g, &table, b..t, seed).0);
+        let mut parts = forward(0..a).0;
+        parts.merge(&forward(a..b).0);
+        parts.merge(&forward(b..t).0);
         assert_eq!(parts, oracle, "split 0..{a}..{b}..{t}");
 
         // Reverse projection of an interior chunk.
         let candidates: Vec<NodeId> = g.nodes().collect();
-        let (rev, _) = reverse_counts_range_with(&g, &table, &candidates, a..b, seed);
+        let (rev, _) = reverse_range(&g, &table, &candidates, a..b, seed, 1, w1);
         let mut rev_oracle = DefaultCounts::new(candidates.len());
         for i in a..b {
             let world = PossibleWorld::sample_with_table(&g, &table, seed, i);

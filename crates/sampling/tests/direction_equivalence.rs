@@ -13,46 +13,24 @@
 //! happened to materialize, how many steps each strategy took) may
 //! differ between directions.
 
+mod common;
+
+use common::{forward_range, oracle_forward_counts, two_chunk_range};
 use ugraph::testkit::{check, random_graph, TestRng};
 use ugraph::UncertainGraph;
 use vulnds_sampling::{
-    forward_counts_range_width_directed, parallel_forward_counts_range_width_directed, BlockWords,
-    CoinTable, DefaultCounts, Direction, PossibleWorld, SuperBlock, SuperKernel, LANES,
-    MAX_BLOCK_WORDS,
+    fit_width, BlockWords, CoinTable, Direction, SuperBlock, SuperKernel, LANES, MAX_BLOCK_WORDS,
 };
 
 fn arb_graph(rng: &mut TestRng) -> UncertainGraph {
     random_graph(rng, 24, 60)
 }
 
-/// A sample range that straddles superblock boundaries of every width
-/// most of the time and often leaves a partial trailing superblock.
-fn arb_range(rng: &mut TestRng) -> std::ops::Range<u64> {
-    let start = rng.range_usize(0, 3 * MAX_BLOCK_WORDS * LANES) as u64;
-    let len = rng.range_usize(1, 2 * MAX_BLOCK_WORDS * LANES + 7) as u64;
-    start..start + len
-}
-
-/// The oracle: materialize every world one at a time.
-fn oracle_forward_counts(
-    g: &UncertainGraph,
-    range: std::ops::Range<u64>,
-    seed: u64,
-) -> DefaultCounts {
-    let table = CoinTable::new(g);
-    let mut counts = DefaultCounts::new(g.num_nodes());
-    for i in range {
-        let world = PossibleWorld::sample_with_table(g, &table, seed, i);
-        counts.record_mask(&world.defaulted_nodes(g));
-    }
-    counts
-}
-
 #[test]
 fn every_direction_equals_oracle_at_every_width_and_thread_count() {
     check(30, |rng| {
         let g = arb_graph(rng);
-        let range = arb_range(rng);
+        let range = two_chunk_range(rng);
         let seed = rng.next_u64();
         let table = CoinTable::new(&g);
         let oracle = oracle_forward_counts(&g, range.clone(), seed);
@@ -64,14 +42,8 @@ fn every_direction_equals_oracle_at_every_width_and_thread_count() {
             // invent a word.
             let mut ledger: Option<u64> = None;
             for direction in Direction::ALL {
-                let (counts, usage) = forward_counts_range_width_directed(
-                    &g,
-                    &table,
-                    range.clone(),
-                    seed,
-                    width,
-                    direction,
-                );
+                let (counts, usage) =
+                    forward_range(&g, &table, range.clone(), seed, 1, width, direction);
                 assert_eq!(counts, oracle, "sequential {direction}, width {width}");
                 let total = usage.edge_words_materialized + usage.edge_words_skipped;
                 match ledger {
@@ -82,15 +54,8 @@ fn every_direction_equals_oracle_at_every_width_and_thread_count() {
                     ),
                 }
                 for threads in [2usize, 5] {
-                    let (par, _) = parallel_forward_counts_range_width_directed(
-                        &g,
-                        &table,
-                        range.clone(),
-                        seed,
-                        threads,
-                        width,
-                        direction,
-                    );
+                    let (par, _) =
+                        forward_range(&g, &table, range.clone(), seed, threads, width, direction);
                     assert_eq!(par, oracle, "parallel {direction}, width {width}, {threads}t");
                 }
             }
@@ -104,18 +69,12 @@ fn every_direction_equals_oracle_at_every_width_and_thread_count() {
 fn step_counters_are_consistent_with_the_pinned_direction() {
     check(30, |rng| {
         let g = arb_graph(rng);
-        let range = arb_range(rng);
+        let range = two_chunk_range(rng);
         let seed = rng.next_u64();
         let table = CoinTable::new(&g);
         for direction in Direction::ALL {
-            let (_, usage) = forward_counts_range_width_directed(
-                &g,
-                &table,
-                range.clone(),
-                seed,
-                BlockWords::W4,
-                direction,
-            );
+            let (_, usage) =
+                forward_range(&g, &table, range.clone(), seed, 1, BlockWords::W4, direction);
             match direction {
                 Direction::Push => {
                     assert_eq!(usage.pull_steps, 0, "pinned push must never pull");
@@ -188,13 +147,17 @@ fn partial_superblocks_are_direction_invariant() {
         let g = arb_graph(rng);
         let seed = rng.next_u64();
         let table = CoinTable::new(&g);
-        // 1..(8·64) worlds: partial at every width except sometimes W1.
-        let t = rng.range_usize(1, MAX_BLOCK_WORDS * LANES) as u64;
+        // (8·64 + 1)..(2·8·64) worlds: one full widest superblock and a
+        // partial one, so a one-thread pass keeps every width (a lone
+        // partial superblock at an exact width is a `parallel` unit
+        // test); the tail is partial at every width but sometimes W1–W4.
+        let span = MAX_BLOCK_WORDS * LANES;
+        let t = rng.range_usize(span + 1, 2 * span - 1) as u64;
         let oracle = oracle_forward_counts(&g, 0..t, seed);
         for width in BlockWords::ALL {
+            assert_eq!(fit_width(&(0..t), width, 1), width, "t {t} narrows width {width}");
             for direction in Direction::ALL {
-                let (counts, _) =
-                    forward_counts_range_width_directed(&g, &table, 0..t, seed, width, direction);
+                let (counts, _) = forward_range(&g, &table, 0..t, seed, 1, width, direction);
                 assert_eq!(counts, oracle, "t {t}, width {width}, {direction}");
             }
         }

@@ -3,10 +3,7 @@
 
 use ugraph::testkit::{check, random_graph, TestRng};
 use ugraph::{NodeId, UncertainGraph};
-use vulnds_sampling::{
-    antithetic_forward_counts, forward_counts, parallel_forward_counts, parallel_reverse_counts,
-    reverse_counts, PossibleWorld,
-};
+use vulnds_sampling::{forward_counts, reverse_counts, PossibleWorld};
 
 fn arb_graph(rng: &mut TestRng) -> UncertainGraph {
     random_graph(rng, 12, 24)
@@ -18,7 +15,7 @@ fn arb_graph(rng: &mut TestRng) -> UncertainGraph {
 fn estimates_are_probabilities() {
     check(32, |rng| {
         let g = arb_graph(rng);
-        let counts = forward_counts(&g, 400, 7);
+        let counts = forward_counts(&g, 400, 7, 1);
         for v in g.nodes() {
             let e = counts.estimate(v.index());
             assert!((0.0..=1.0).contains(&e));
@@ -36,32 +33,11 @@ fn parallel_equals_sequential() {
     check(32, |rng| {
         let g = arb_graph(rng);
         let threads = rng.range_usize(1, 6);
-        let seq = forward_counts(&g, 200, 11);
-        assert_eq!(parallel_forward_counts(&g, 200, 11, threads), seq);
+        let seq = forward_counts(&g, 200, 11, 1);
+        assert_eq!(forward_counts(&g, 200, 11, threads), seq);
         let cands: Vec<NodeId> = g.nodes().collect();
-        let rseq = reverse_counts(&g, &cands, 200, 13);
-        assert_eq!(parallel_reverse_counts(&g, &cands, 200, 13, threads), rseq);
-    });
-}
-
-/// Antithetic estimates agree with independent ones within sampling
-/// noise on every graph.
-#[test]
-fn antithetic_is_unbiased() {
-    check(32, |rng| {
-        let g = arb_graph(rng);
-        let t = 6_000;
-        let anti = antithetic_forward_counts(&g, t, 17);
-        let indep = forward_counts(&g, t, 19);
-        for v in g.nodes() {
-            let diff = (anti.estimate(v.index()) - indep.estimate(v.index())).abs();
-            assert!(
-                diff < 0.08,
-                "node {v}: anti {} indep {}",
-                anti.estimate(v.index()),
-                indep.estimate(v.index())
-            );
-        }
+        let rseq = reverse_counts(&g, &cands, 200, 13, 1);
+        assert_eq!(reverse_counts(&g, &cands, 200, 13, threads), rseq);
     });
 }
 
@@ -73,12 +49,12 @@ fn candidate_subset_consistency() {
         let g = arb_graph(rng);
         let all: Vec<NodeId> = g.nodes().collect();
         let t = 2_000;
-        let full = reverse_counts(&g, &all, t, 23);
+        let full = reverse_counts(&g, &all, t, 23, 1);
         // Singleton runs see the same lazily-built worlds only if the
         // coin-consumption order matches, which it need not — so compare
         // statistically, not bitwise.
         for &v in all.iter().take(3) {
-            let single = reverse_counts(&g, &[v], t, 23);
+            let single = reverse_counts(&g, &[v], t, 23, 1);
             let diff = (single.estimate(0) - full.estimate(v.index())).abs();
             assert!(
                 diff < 0.1,

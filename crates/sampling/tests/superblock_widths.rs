@@ -11,65 +11,39 @@
 //! `--block-words`) can change width freely without changing a single
 //! count.
 
+mod common;
+
+use common::{forward_range, oracle_forward_counts, reverse_range, two_chunk_range};
 use ugraph::testkit::{check, random_graph, TestRng};
 use ugraph::{NodeId, UncertainGraph};
 use vulnds_sampling::{
-    fit_width, forward_counts_range_width, parallel_forward_counts_range_width,
-    parallel_reverse_counts_range_width, reverse_counts_range_width, BlockWords, CoinTable,
-    DefaultCounts, PossibleWorld, SuperBlock, SuperKernel, LANES, MAX_BLOCK_WORDS,
+    fit_width, BlockWords, CoinTable, DefaultCounts, Direction, PossibleWorld, SuperBlock,
+    SuperKernel, LANES,
 };
 
 fn arb_graph(rng: &mut TestRng) -> UncertainGraph {
     random_graph(rng, 24, 60)
 }
 
-/// A sample range that straddles superblock boundaries of every width
-/// most of the time (the widest span is `MAX_BLOCK_WORDS · 64 = 512`).
-fn arb_range(rng: &mut TestRng) -> std::ops::Range<u64> {
-    let start = rng.range_usize(0, 3 * MAX_BLOCK_WORDS * LANES) as u64;
-    let len = rng.range_usize(1, 2 * MAX_BLOCK_WORDS * LANES + 7) as u64;
-    start..start + len
-}
-
-/// The oracle: materialize every world one at a time.
-fn oracle_forward_counts(
-    g: &UncertainGraph,
-    range: std::ops::Range<u64>,
-    seed: u64,
-) -> DefaultCounts {
-    let table = CoinTable::new(g);
-    let mut counts = DefaultCounts::new(g.num_nodes());
-    for i in range {
-        let world = PossibleWorld::sample_with_table(g, &table, seed, i);
-        counts.record_mask(&world.defaulted_nodes(g));
-    }
-    counts
-}
-
 #[test]
 fn every_width_forward_equals_oracle_and_each_other() {
     check(40, |rng| {
         let g = arb_graph(rng);
-        let range = arb_range(rng);
+        let range = two_chunk_range(rng);
         let seed = rng.next_u64();
         let table = CoinTable::new(&g);
         let oracle = oracle_forward_counts(&g, range.clone(), seed);
+        let direction = Direction::default();
         for width in BlockWords::ALL {
             let (counts, usage) =
-                forward_counts_range_width(&g, &table, range.clone(), seed, width);
+                forward_range(&g, &table, range.clone(), seed, 1, width, direction);
             assert_eq!(counts, oracle, "sequential width {width}, range {range:?}");
             assert!(usage.superblocks > 0, "no superblock accounted at width {width}");
             // The threaded driver partitions by superblock; counts must
             // merge back bit-identically.
             for threads in [2, 5] {
-                let (par, _) = parallel_forward_counts_range_width(
-                    &g,
-                    &table,
-                    range.clone(),
-                    seed,
-                    threads,
-                    width,
-                );
+                let (par, _) =
+                    forward_range(&g, &table, range.clone(), seed, threads, width, direction);
                 assert_eq!(par, oracle, "parallel width {width}, threads {threads}");
             }
         }
@@ -80,7 +54,7 @@ fn every_width_forward_equals_oracle_and_each_other() {
 fn every_width_reverse_equals_oracle_and_each_other() {
     check(40, |rng| {
         let g = arb_graph(rng);
-        let range = arb_range(rng);
+        let range = two_chunk_range(rng);
         let seed = rng.next_u64();
         let table = CoinTable::new(&g);
         // A random candidate subset, shuffled order.
@@ -101,18 +75,9 @@ fn every_width_reverse_equals_oracle_and_each_other() {
             counts
         };
         for width in BlockWords::ALL {
-            let (counts, _) =
-                reverse_counts_range_width(&g, &table, &candidates, range.clone(), seed, width);
+            let (counts, _) = reverse_range(&g, &table, &candidates, range.clone(), seed, 1, width);
             assert_eq!(counts, oracle, "sequential width {width}, range {range:?}");
-            let (par, _) = parallel_reverse_counts_range_width(
-                &g,
-                &table,
-                &candidates,
-                range.clone(),
-                seed,
-                3,
-                width,
-            );
+            let (par, _) = reverse_range(&g, &table, &candidates, range.clone(), seed, 3, width);
             assert_eq!(par, oracle, "parallel width {width}");
         }
     });
@@ -189,7 +154,7 @@ fn fitted_widths_preserve_counts() {
             let fitted = fit_width(&(0..t), planned, threads);
             assert!(fitted <= planned, "fitting may only narrow");
             let (counts, _) =
-                parallel_forward_counts_range_width(&g, &table, 0..t, seed, threads, planned);
+                forward_range(&g, &table, 0..t, seed, threads, planned, Direction::default());
             assert_eq!(counts, oracle, "t {t}, threads {threads}, planned {planned}");
         }
     });

@@ -5,9 +5,10 @@
 //! `crates/sampling/tests/block_cross_validation.rs`; this suite covers
 //! the layers above:
 //!
-//! * N / SN / SR / BSR answers route through `*_counts_range`, so their
-//!   estimates must equal a hand-rolled scalar-oracle run of the same
-//!   budgets and candidate sets;
+//! * N / SN / SR / BSR answers route through the two sampling passes
+//!   (`parallel_*_counts_range_width_traced`), so their estimates must
+//!   equal a hand-rolled scalar-oracle run of the same budgets and
+//!   candidate sets;
 //! * BSRBK's chunked block replay (64 hash-ordered worlds per
 //!   `WorldBlock`, lanes replayed in order) must reproduce a scalar
 //!   per-sample adaptive pass — counters, saturation hashes, early-stop

@@ -78,9 +78,9 @@ fn forward_and_reverse_marginals_agree() {
         let g = tiny_graph(rng);
         let n = g.num_nodes();
         let t = 8_000;
-        let fwd = forward_counts(&g, t, 1234);
+        let fwd = forward_counts(&g, t, 1234, 1);
         let cands: Vec<NodeId> = g.nodes().collect();
-        let rev = reverse_counts(&g, &cands, t, 4321);
+        let rev = reverse_counts(&g, &cands, t, 4321, 1);
         for v in 0..n {
             let diff = (fwd.estimate(v) - rev.estimate(v)).abs();
             assert!(diff < 0.06, "node {v}: fwd {} rev {}", fwd.estimate(v), rev.estimate(v));
@@ -94,7 +94,7 @@ fn sampling_converges_to_exact() {
     check(24, |rng| {
         let g = tiny_graph(rng);
         let exact = exact_default_probabilities(&g);
-        let counts = forward_counts(&g, 12_000, 777);
+        let counts = forward_counts(&g, 12_000, 777, 1);
         for (v, &p) in exact.iter().enumerate() {
             let diff = (counts.estimate(v) - p).abs();
             assert!(diff < 0.05, "node {v}: mc {} exact {p}", counts.estimate(v));
