@@ -9,16 +9,17 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::algo::{run_one_shot, AlgorithmKind, DetectionResult};
+    use crate::algo::{run_one_shot, AlgorithmKind};
     use crate::config::VulnConfig;
+    use crate::engine::DetectResponse;
     use ugraph::{from_parts, DuplicateEdgePolicy, NodeId, UncertainGraph};
     use vulnds_sampling::Xoshiro256pp;
 
-    fn detect_bsrbk(graph: &UncertainGraph, k: usize, config: &VulnConfig) -> DetectionResult {
+    fn detect_bsrbk(graph: &UncertainGraph, k: usize, config: &VulnConfig) -> DetectResponse {
         run_one_shot(graph, k, AlgorithmKind::BottomK, config)
     }
 
-    fn detect_bsr(graph: &UncertainGraph, k: usize, config: &VulnConfig) -> DetectionResult {
+    fn detect_bsr(graph: &UncertainGraph, k: usize, config: &VulnConfig) -> DetectResponse {
         run_one_shot(graph, k, AlgorithmKind::BoundedSampleReverse, config)
     }
 

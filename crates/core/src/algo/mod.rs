@@ -15,10 +15,7 @@ pub(crate) mod reverse_common;
 mod sn;
 mod sr;
 
-use crate::config::VulnConfig;
-use crate::topk::ScoredNode;
 use std::time::Duration;
-use ugraph::UncertainGraph;
 
 /// Which algorithm to run; see the module table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,57 +80,25 @@ pub struct RunStats {
     pub elapsed: Duration,
 }
 
-/// Result of a detection run: the top-k nodes (descending score) plus
-/// diagnostics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DetectionResult {
-    /// The k detected nodes, most vulnerable first.
-    pub top_k: Vec<ScoredNode>,
-    /// Run diagnostics.
-    pub stats: RunStats,
-}
-
-impl DetectionResult {
-    /// Just the node ids, in rank order.
-    pub fn node_ids(&self) -> Vec<ugraph::NodeId> {
-        self.top_k.iter().map(|s| s.node).collect()
-    }
-}
-
-/// Validates `k` against the graph size.
-pub(crate) fn validate_k(graph: &UncertainGraph, k: usize) {
-    assert!(k >= 1, "k must be positive");
-    assert!(k <= graph.num_nodes(), "k = {k} exceeds the number of nodes ({})", graph.num_nodes());
-}
-
 /// One-shot run through a throwaway engine session — the harness behind
-/// the per-algorithm behavioral test suites, the benches, and the
-/// what-if module. Produces results identical to a cold
-/// [`Detector`](crate::engine::Detector) session (it *is* one). The
-/// 0.2.0 deprecated free-function shims (`detect`,
-/// `detect_naive`/`_sn`/`_sr`/`_bsr`/`_bsrbk`) that wrapped this were
-/// removed in 0.3.0 — build a session instead.
-///
-/// Takes any [`IntoSharedGraph`](crate::engine::IntoSharedGraph) shape;
-/// callers that loop (e.g. `greedy_hardening`) should pass an `Arc` so
-/// each call shares the graph instead of cloning it.
+/// the per-algorithm behavioral test suites. Produces results identical
+/// to a cold [`Detector`](crate::engine::Detector) session (it *is*
+/// one), and panics where the session would return an error.
+#[cfg(test)]
 pub(crate) fn run_one_shot(
-    graph: impl crate::engine::IntoSharedGraph,
+    graph: &ugraph::UncertainGraph,
     k: usize,
     algorithm: AlgorithmKind,
-    config: &VulnConfig,
-) -> DetectionResult {
-    let graph = graph.into_shared();
-    validate_k(&graph, k);
+    config: &crate::config::VulnConfig,
+) -> crate::engine::DetectResponse {
+    assert!(k >= 1, "k must be positive");
+    assert!(k <= graph.num_nodes(), "k = {k} exceeds the number of nodes ({})", graph.num_nodes());
     let detector = crate::engine::Detector::builder(graph)
         .config(config.clone())
         .build()
-        // xlint: allow(panic-hygiene) — the one-shot API documents
-        // that it panics on invalid input (see the match arm below);
-        // fallible callers use the `Detector` API instead.
         .expect("session configuration is valid");
     match detector.detect(&crate::engine::DetectRequest::new(k, algorithm)) {
-        Ok(response) => response.into_detection_result(),
+        Ok(response) => response,
         Err(e) => panic!("{e}"),
     }
 }

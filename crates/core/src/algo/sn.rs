@@ -8,12 +8,13 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::algo::{run_one_shot, AlgorithmKind, DetectionResult};
+    use crate::algo::{run_one_shot, AlgorithmKind};
     use crate::config::VulnConfig;
+    use crate::engine::DetectResponse;
     use crate::sample_size::basic_sample_size;
     use ugraph::{from_parts, DuplicateEdgePolicy, NodeId, UncertainGraph};
 
-    fn detect_sn(graph: &UncertainGraph, k: usize, config: &VulnConfig) -> DetectionResult {
+    fn detect_sn(graph: &UncertainGraph, k: usize, config: &VulnConfig) -> DetectResponse {
         run_one_shot(graph, k, AlgorithmKind::SampledNaive, config)
     }
 

@@ -8,11 +8,12 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::algo::{run_one_shot, AlgorithmKind, DetectionResult};
+    use crate::algo::{run_one_shot, AlgorithmKind};
     use crate::config::VulnConfig;
+    use crate::engine::DetectResponse;
     use ugraph::{from_parts, DuplicateEdgePolicy, NodeId, UncertainGraph};
 
-    fn detect_sr(graph: &UncertainGraph, k: usize, config: &VulnConfig) -> DetectionResult {
+    fn detect_sr(graph: &UncertainGraph, k: usize, config: &VulnConfig) -> DetectResponse {
         run_one_shot(graph, k, AlgorithmKind::SampleReverse, config)
     }
 

@@ -5,9 +5,9 @@
 //! run configuration, a worker thread count, and **reusable state** —
 //! bound vectors (Algorithms 2–3), candidate reductions (Algorithm 4),
 //! and cumulative sampled-world counts — so that repeated queries
-//! (multiple `k`, tweaked `ε`/`δ`, what-if follow-ups) amortize each
-//! other's work instead of re-deriving everything from scratch like the
-//! classic free functions.
+//! (multiple `k`, tweaked `ε`/`δ`, re-asks after a live update)
+//! amortize each other's work instead of re-deriving everything from
+//! scratch like the classic free functions.
 //!
 //! Since 0.4 the engine is built for **concurrent multi-client use**:
 //! [`Detector::detect`], [`Detector::detect_many`],
@@ -790,7 +790,7 @@ impl<'a> EngineCtx<'a> {
     /// the budget/thread-aware planner ([`BlockWords::plan`]) — big
     /// fixed-budget passes go wide, small follow-ups stay narrow. Width
     /// never changes counts, only throughput.
-    pub fn plan_block_words(&self, budget: u64) -> BlockWords {
+    fn plan_block_words(&self, budget: u64) -> BlockWords {
         self.config.block_words.unwrap_or_else(|| BlockWords::plan(budget, self.config.threads))
     }
 
@@ -1109,7 +1109,8 @@ impl Detector {
         }
     }
 
-    /// A pinned snapshot of the session's current working graph. Under
+    /// A pinned snapshot of the session's current working graph,
+    /// shareable with other sessions or threads without copying. Under
     /// [`DetectorBuilder::relabel`] this is the *relabeled* copy —
     /// translate ids through [`Detector::node_map`] when comparing
     /// against the caller's original labeling. The snapshot stays
@@ -1125,13 +1126,6 @@ impl Detector {
     /// callers that inspect the working graph directly.
     pub fn node_map(&self) -> Option<&NodeMap> {
         self.relabel.as_ref()
-    }
-
-    /// The session's current graph snapshot, shareable with other
-    /// sessions or threads without copying (same as
-    /// [`Detector::graph`]).
-    pub fn shared_graph(&self) -> Arc<UncertainGraph> {
-        self.epochs.pin()
     }
 
     /// The session's current epoch: 0 for the base graph, +1 per
@@ -1442,9 +1436,9 @@ mod tests {
         let by_arc_ref = Detector::builder(&arc).seed(1).build().unwrap();
         // Arc-built sessions share the caller's allocation; the others
         // own their own copy.
-        assert!(Arc::ptr_eq(&by_arc.shared_graph(), &arc));
-        assert!(Arc::ptr_eq(&by_arc_ref.shared_graph(), &arc));
-        assert!(!Arc::ptr_eq(&by_ref.shared_graph(), &arc));
+        assert!(Arc::ptr_eq(&by_arc.graph(), &arc));
+        assert!(Arc::ptr_eq(&by_arc_ref.graph(), &arc));
+        assert!(!Arc::ptr_eq(&by_ref.graph(), &arc));
         // All four answer identically.
         let req = DetectRequest::new(3, AlgorithmKind::BottomK);
         let reference = by_ref.detect(&req).unwrap();
@@ -2000,12 +1994,26 @@ mod tests {
         let mut post = g.clone();
         delta.apply(&mut post).unwrap();
         let cold = session(&post);
+        // A new session on the live post-delta snapshot answers like one
+        // built on a freshly edited copy of the graph.
+        let snapshot = warm.graph();
+        assert_eq!(*snapshot, post, "the live snapshot is the edited graph");
+        let reborn = Detector::builder(snapshot)
+            .config(VulnConfig::default().with_seed(77))
+            .build()
+            .unwrap();
         for kind in AlgorithmKind::ALL {
             let req = DetectRequest::new(5, kind);
             let w = warm.detect(&req).unwrap();
             let c = cold.detect(&req).unwrap();
+            let r = reborn.detect(&req).unwrap();
             assert_eq!(w.top_k, c.top_k, "{kind}");
             assert_eq!(w.stats.samples_used, c.stats.samples_used, "{kind}");
+            assert_eq!(r.top_k, c.top_k, "{kind} on the post-delta snapshot");
+            assert_eq!(
+                r.stats.samples_used, c.stats.samples_used,
+                "{kind} on the post-delta snapshot"
+            );
         }
         // Bounds were repaired through the incremental maintainer and
         // re-published under the new graph version, so the first

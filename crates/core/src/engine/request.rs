@@ -301,10 +301,4 @@ impl DetectResponse {
     pub fn node_ids(&self) -> Vec<NodeId> {
         self.top_k.iter().map(|s| s.node).collect()
     }
-
-    /// Converts to the classic [`DetectionResult`](crate::DetectionResult)
-    /// shape (drops the engine stats).
-    pub fn into_detection_result(self) -> crate::algo::DetectionResult {
-        crate::algo::DetectionResult { top_k: self.top_k, stats: self.stats }
-    }
 }

@@ -10,9 +10,6 @@
 use ugraph::UncertainGraph;
 use vulnds_sampling::{forward_counts, WorldEnumerator};
 
-/// Number of samples the paper uses to define ground truth (§4.1).
-pub const PAPER_GROUND_TRUTH_SAMPLES: u64 = 20_000;
-
 /// Exact default probability of every node by enumerating all
 /// `2^(n+m)` possible worlds.
 ///
@@ -39,11 +36,6 @@ pub fn exact_default_probabilities(graph: &UncertainGraph) -> Vec<f64> {
 /// `samples` forward samples.
 pub fn ground_truth(graph: &UncertainGraph, samples: u64, seed: u64, threads: usize) -> Vec<f64> {
     forward_counts(graph, samples, seed, threads).estimates()
-}
-
-/// Ground truth with the paper's sample budget.
-pub fn paper_ground_truth(graph: &UncertainGraph, seed: u64, threads: usize) -> Vec<f64> {
-    ground_truth(graph, PAPER_GROUND_TRUTH_SAMPLES, seed, threads)
 }
 
 #[cfg(test)]

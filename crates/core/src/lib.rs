@@ -43,6 +43,13 @@
 //! let again = detector.detect(&DetectRequest::new(2, AlgorithmKind::BottomK)).unwrap();
 //! assert!(again.engine.bounds_reused);
 //! ```
+//!
+//! Probabilities change through one path: a [`ugraph::GraphDelta`]
+//! committed with [`engine::Detector::apply_delta`], which revalidates
+//! the session caches in place. A what-if question ("how much does risk
+//! drop if these enterprises are de-risked?") is a `detect` before and
+//! after such a delta; [`engine::Detector::graph`] hands the post-delta
+//! snapshot to a new session without copying it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +58,6 @@
 pub mod algo;
 pub mod bounds;
 pub mod candidates;
-pub mod conditional;
 pub mod config;
 pub mod dynamic;
 pub mod engine;
@@ -61,12 +67,10 @@ pub mod precision;
 pub mod sample_size;
 pub mod scoring;
 pub mod topk;
-pub mod what_if;
 
-pub use algo::{AlgorithmKind, DetectionResult, RunStats};
+pub use algo::{AlgorithmKind, RunStats};
 pub use bounds::{compute_bounds, lower_bounds_paper, lower_bounds_safe, upper_bounds};
 pub use candidates::{reduce_candidates, CandidateReduction};
-pub use conditional::{conditional_scores, intervention_scores, ConditionalScores};
 pub use config::{ApproxParams, BoundsMethod, ConfigError, VulnConfig};
 pub use dynamic::IncrementalBounds;
 pub use engine::{
@@ -74,13 +78,10 @@ pub use engine::{
     IntoSharedGraph, SessionStats,
 };
 pub use error::VulnError;
-pub use exact::{exact_default_probabilities, ground_truth, paper_ground_truth};
+pub use exact::{exact_default_probabilities, ground_truth};
 pub use precision::{precision_at_k, precision_with_ties, satisfies_epsilon_contract};
 pub use sample_size::{basic_sample_size, reduced_sample_size};
 pub use scoring::{score_nodes_bottomk, score_nodes_mc};
 pub use topk::{select_top_k, select_top_k_dense, ScoredNode};
 pub use ugraph::{NodeMap, NodeOrder};
 pub use vulnds_sampling::{BlockWords, Direction};
-pub use what_if::{
-    apply_interventions, evaluate_interventions, greedy_hardening, Intervention, WhatIfReport,
-};

@@ -6,7 +6,7 @@ use crate::config::ApproxParams;
 /// Hoeffding tail for the mean of `t` i.i.d. variables with range width 2
 /// (the pairwise estimator `p_u − p_v` of Theorem 3):
 /// `Pr[estimate − truth ≥ ε] ≤ exp(−t ε² / 2)`.
-pub fn pairwise_tail(t: u64, epsilon: f64) -> f64 {
+fn pairwise_tail(t: u64, epsilon: f64) -> f64 {
     (-(t as f64) * epsilon * epsilon / 2.0).exp()
 }
 

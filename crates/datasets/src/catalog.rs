@@ -2,7 +2,7 @@
 //! generators matching the published shapes (see DESIGN.md for the
 //! substitution rationale).
 
-use crate::gen::{bipartite, chung_lu, erdos, interbank, pref_attach};
+use crate::gen::{bipartite, chung_lu, interbank, pref_attach};
 use crate::probs::ProbabilityModel;
 use ugraph::{from_parts, DuplicateEdgePolicy, UncertainGraph};
 use vulnds_sampling::Xoshiro256pp;
@@ -230,13 +230,6 @@ impl std::fmt::Display for Dataset {
     }
 }
 
-/// Uniform control dataset (not in the paper; used by ablation benches).
-pub fn uniform_control(n: usize, m: usize, seed: u64) -> UncertainGraph {
-    let mut rng = Xoshiro256pp::new(seed ^ fingerprint("control"));
-    let edges = erdos::generate(n, m, &mut rng);
-    crate::attach_probabilities(n, &edges, ProbabilityModel::Uniform, &mut rng)
-}
-
 fn scaled_cap(max_degree: usize, scale: f64) -> usize {
     ((max_degree as f64 * scale).round() as usize).max(8)
 }
@@ -355,12 +348,5 @@ mod tests {
     #[should_panic(expected = "scale must be in")]
     fn rejects_bad_scale() {
         Dataset::Citation.generate_scaled(1, 0.0);
-    }
-
-    #[test]
-    fn uniform_control_builds() {
-        let g = uniform_control(100, 300, 5);
-        assert_eq!(g.num_nodes(), 100);
-        assert_eq!(g.num_edges(), 300);
     }
 }

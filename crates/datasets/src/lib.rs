@@ -24,7 +24,7 @@ pub mod probs;
 pub mod temporal;
 pub mod weighted;
 
-pub use catalog::{attach_probabilities, uniform_control, Dataset, DatasetSpec};
+pub use catalog::{attach_probabilities, Dataset, DatasetSpec};
 pub use probs::ProbabilityModel;
 pub use temporal::{replay, update_stream, UpdateEvent, UpdateStreamParams};
 pub use weighted::AliasTable;

@@ -23,7 +23,7 @@ impl UnitHasher {
 
     /// The raw 64-bit hash of `key` (SplitMix64 finalizer over `key ⊕ seed`).
     #[inline]
-    pub fn hash_u64(&self, key: u64) -> u64 {
+    fn hash_u64(&self, key: u64) -> u64 {
         let mut z = key ^ self.seed;
         z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -28,5 +28,5 @@ pub mod estimator;
 pub mod hash;
 
 pub use bottomk::BottomK;
-pub use estimator::{bottomk_default_probability, DistinctCounter};
+pub use estimator::bottomk_default_probability;
 pub use hash::{hash_order, UnitHasher};

@@ -12,7 +12,7 @@
 //! Node lines may appear in any order but each of `0..n` must appear
 //! exactly once.
 
-use crate::builder::{DuplicateEdgePolicy, GraphBuilder};
+use crate::builder::GraphBuilder;
 use crate::error::{GraphError, Result};
 use crate::graph::UncertainGraph;
 use crate::ids::NodeId;
@@ -138,58 +138,10 @@ pub fn save_to_path(g: &UncertainGraph, path: impl AsRef<Path>) -> Result<()> {
     write_graph(g, std::io::BufWriter::new(file))
 }
 
-/// Reads a bare `u v` edge list (e.g. a SNAP download) and assigns every
-/// node self-risk `default_self_risk` and every edge probability
-/// `default_edge_prob`. Node ids are compacted to `0..n` in first-seen
-/// order. Duplicate edges are merged with [`DuplicateEdgePolicy::KeepMax`].
-pub fn read_edge_list<R: BufRead>(
-    reader: R,
-    default_self_risk: f64,
-    default_edge_prob: f64,
-) -> Result<UncertainGraph> {
-    let mut remap: std::collections::BTreeMap<u64, u32> = std::collections::BTreeMap::new();
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    for (i, line) in reader.lines().enumerate() {
-        let lineno = i + 1;
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') {
-            continue;
-        }
-        let mut it = t.split_whitespace();
-        let u: u64 = it
-            .next()
-            .ok_or_else(|| parse_err(lineno, "missing source"))?
-            .parse()
-            .map_err(|_| parse_err(lineno, "source is not an integer"))?;
-        let v: u64 = it
-            .next()
-            .ok_or_else(|| parse_err(lineno, "missing target"))?
-            .parse()
-            .map_err(|_| parse_err(lineno, "target is not an integer"))?;
-        let next_id = remap.len() as u32;
-        let iu = *remap.entry(u).or_insert(next_id);
-        let next_id = remap.len() as u32;
-        let iv = *remap.entry(v).or_insert(next_id);
-        if iu != iv {
-            edges.push((iu, iv));
-        }
-    }
-    let n = remap.len();
-    let mut b = GraphBuilder::new(n).with_duplicate_policy(DuplicateEdgePolicy::KeepMax);
-    for v in 0..n as u32 {
-        b.set_self_risk(NodeId(v), default_self_risk)?;
-    }
-    for (u, v) in edges {
-        b.add_edge(NodeId(u), NodeId(v), default_edge_prob)?;
-    }
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::from_parts;
+    use crate::builder::{from_parts, DuplicateEdgePolicy};
 
     fn sample() -> UncertainGraph {
         from_parts(
@@ -260,21 +212,5 @@ mod tests {
             Err(GraphError::Parse { line, .. }) => assert_eq!(line, 4),
             other => panic!("expected parse error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn edge_list_import_compacts_ids() {
-        let text = "# snap style\n100 200\n200 300\n100 300\n100 100\n";
-        let g = read_edge_list(std::io::Cursor::new(text), 0.1, 0.2).unwrap();
-        assert_eq!(g.num_nodes(), 3);
-        assert_eq!(g.num_edges(), 3); // self-loop dropped
-        assert_eq!(g.self_risk(NodeId(0)), 0.1);
-    }
-
-    #[test]
-    fn edge_list_merges_duplicates() {
-        let text = "1 2\n1 2\n";
-        let g = read_edge_list(std::io::Cursor::new(text), 0.0, 0.5).unwrap();
-        assert_eq!(g.num_edges(), 1);
     }
 }

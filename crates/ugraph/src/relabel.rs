@@ -139,7 +139,7 @@ impl UncertainGraph {
 
     /// Rebuilds the graph under an existing permutation (see
     /// [`UncertainGraph::relabeled`]).
-    pub fn relabeled_with(&self, map: &NodeMap) -> UncertainGraph {
+    fn relabeled_with(&self, map: &NodeMap) -> UncertainGraph {
         assert_eq!(map.len(), self.num_nodes(), "permutation size mismatch");
         let mut b = GraphBuilder::new(self.num_nodes());
         for v in self.nodes() {

@@ -36,21 +36,6 @@ impl SccDecomposition {
     pub fn non_trivial(&self) -> Vec<u32> {
         self.sizes().iter().enumerate().filter(|(_, &s)| s > 1).map(|(i, _)| i as u32).collect()
     }
-
-    /// Members of component `c`, in ascending node-id order.
-    pub fn members(&self, c: u32) -> Vec<NodeId> {
-        self.component
-            .iter()
-            .enumerate()
-            .filter(|(_, &cc)| cc == c)
-            .map(|(v, _)| NodeId(v as u32))
-            .collect()
-    }
-
-    /// `true` when every component is a single node (the graph is a DAG).
-    pub fn is_dag(&self) -> bool {
-        self.count == self.component.len()
-    }
 }
 
 /// Computes SCCs with an iterative Tarjan (explicit stack, no recursion —
@@ -131,7 +116,6 @@ mod tests {
         .unwrap();
         let scc = strongly_connected_components(&g);
         assert_eq!(scc.count, 4);
-        assert!(scc.is_dag());
         assert!(scc.non_trivial().is_empty());
     }
 
@@ -145,9 +129,7 @@ mod tests {
         .unwrap();
         let scc = strongly_connected_components(&g);
         assert_eq!(scc.count, 1);
-        assert!(!scc.is_dag());
         assert_eq!(scc.sizes(), vec![3]);
-        assert_eq!(scc.members(0).len(), 3);
     }
 
     #[test]
@@ -163,8 +145,10 @@ mod tests {
         assert_eq!(scc.count, 3);
         let nt = scc.non_trivial();
         assert_eq!(nt.len(), 1);
-        let circle = scc.members(nt[0]);
-        assert_eq!(circle, vec![NodeId(0), NodeId(1), NodeId(2)]);
+        assert_eq!(scc.sizes()[nt[0] as usize], 3);
+        assert_eq!(scc.component[0], nt[0]);
+        assert_eq!(scc.component[1], nt[0]);
+        assert_eq!(scc.component[2], nt[0]);
         // Reverse topological: the circle can reach 3 and 4, so its
         // component id is larger.
         assert!(scc.component[0] > scc.component[3]);
@@ -200,6 +184,5 @@ mod tests {
         let g = UncertainGraph::builder(0).build().unwrap();
         let scc = strongly_connected_components(&g);
         assert_eq!(scc.count, 0);
-        assert!(scc.is_dag());
     }
 }

@@ -159,7 +159,7 @@ impl UpdateLog {
     }
 
     /// Absolute epoch of the engine's epoch 0.
-    pub fn epoch_offset(&self) -> u64 {
+    fn epoch_offset(&self) -> u64 {
         self.offset
     }
 
@@ -397,34 +397,26 @@ struct ServeCtx<'a> {
 }
 
 /// Answers newline-delimited JSON requests from `input` on a pool of
-/// `workers` threads sharing `detector` — [`serve_with`] with default
-/// options. Kept as the simplest entry point (and the one the in-repo
-/// tests exercise).
+/// `workers` threads sharing `detector` — [`serve_durable`] with default
+/// options and no write-ahead log. Kept as the simplest entry point.
 pub fn serve(
     detector: &Detector,
     workers: usize,
     input: impl BufRead,
     output: impl Write + Send,
 ) -> Result<ServeSummary, VulnError> {
-    serve_with(detector, &ServeOptions { workers, ..ServeOptions::default() }, input, output)
+    let options = ServeOptions { workers, ..ServeOptions::default() };
+    serve_durable(detector, &options, None, input, output)
 }
 
 /// Answers newline-delimited JSON requests from `input` on
 /// `options.workers` pool threads sharing `detector`, writing one JSON
 /// response line per request to `output` as each completes. Returns
 /// when `input` ends or a `shutdown` request arrives, after draining
-/// in-flight queries under `options.drain_ms`.
-pub fn serve_with(
-    detector: &Detector,
-    options: &ServeOptions,
-    input: impl BufRead,
-    output: impl Write + Send,
-) -> Result<ServeSummary, VulnError> {
-    serve_inner(detector, options, None, input, output, &ServeControl::default())
-}
-
-/// [`serve_with`] plus a write-ahead log: `update` commits append to
-/// `updates` (fsync per its policy) before being acked.
+/// in-flight queries under `options.drain_ms`. With `updates`, `update`
+/// commits append to that write-ahead log (fsync per its policy) before
+/// being acked; with `None` they apply atomically but are lost on
+/// restart.
 pub fn serve_durable(
     detector: &Detector,
     options: &ServeOptions,
@@ -957,7 +949,7 @@ pub fn detect_response_json(response: &DetectResponse) -> Json {
 }
 
 /// Encodes the algorithm-level diagnostics of one answer.
-pub fn run_stats_json(stats: &RunStats) -> Json {
+fn run_stats_json(stats: &RunStats) -> Json {
     Json::obj([
         ("algorithm", stats.algorithm.label().into()),
         ("sample_budget", stats.sample_budget.into()),
@@ -970,7 +962,7 @@ pub fn run_stats_json(stats: &RunStats) -> Json {
 }
 
 /// Encodes the session-cache diagnostics of one answer.
-pub fn engine_stats_json(engine: &EngineStats) -> Json {
+fn engine_stats_json(engine: &EngineStats) -> Json {
     Json::obj([
         ("samples_drawn", engine.samples_drawn.into()),
         ("samples_reused", engine.samples_reused.into()),
@@ -1055,8 +1047,8 @@ mod tests {
         input: &str,
     ) -> (ServeSummary, Vec<Json>) {
         let mut output = Vec::new();
-        let summary =
-            serve_with(detector, options, input.as_bytes(), &mut output).expect("serve runs");
+        let summary = serve_durable(detector, options, None, input.as_bytes(), &mut output)
+            .expect("serve runs");
         let text = String::from_utf8(output).unwrap();
         let lines: Vec<Json> =
             text.lines().map(|l| Json::parse(l).expect("valid response JSON")).collect();
