@@ -296,6 +296,17 @@ mod tests {
     }
 
     #[test]
+    fn text_round_trip_is_exact_for_a_catalog_graph() {
+        // Large enough for the text reader to parse the edge section on
+        // several threads, where the machine has more than one core.
+        let g = Dataset::Guarantee.generate_scaled(42, 0.25);
+        let mut text = Vec::new();
+        ugraph::io::write_graph(&g, &mut text).unwrap();
+        assert!(text.len() > 256 << 10, "only {} bytes", text.len());
+        assert_eq!(ugraph::io::read_graph(text.as_slice()).unwrap(), g);
+    }
+
+    #[test]
     fn guarantee_has_super_hub() {
         let g = Dataset::Guarantee.generate_scaled(7, 0.1);
         let s = GraphStats::compute(&g);

@@ -81,17 +81,7 @@ impl GraphBuilder {
     /// Self-loops are rejected: under the paper's model a node's own default
     /// is captured by `ps(v)`, not by an edge.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, prob: f64) -> Result<()> {
-        let prob = check_probability(prob, "edge diffusion probability")?;
-        let len = self.self_risk.len() as u32;
-        if u.0 >= len {
-            return Err(GraphError::NodeOutOfBounds { node: u.0, len });
-        }
-        if v.0 >= len {
-            return Err(GraphError::NodeOutOfBounds { node: v.0, len });
-        }
-        if u == v {
-            return Err(GraphError::SelfLoop { node: u.0 });
-        }
+        let prob = check_edge(self.self_risk.len(), u.0, v.0, prob)?;
         if self.edges.len() >= u32::MAX as usize {
             return Err(GraphError::CapacityExceeded { what: "edges" });
         }
@@ -99,16 +89,28 @@ impl GraphBuilder {
         Ok(())
     }
 
+    /// Replaces the edge list with `edges`, which [`check_edge`] has
+    /// already accepted for this builder's node count. The caller bounds
+    /// their number by `u32::MAX`.
+    pub(crate) fn set_checked_edges(&mut self, edges: Vec<(u32, u32, f64)>) {
+        self.edges = edges;
+    }
+
     /// Finalizes into an immutable CSR graph.
     ///
-    /// Runs in `O(n + m log m)`; duplicate edges are resolved according to
-    /// the configured [`DuplicateEdgePolicy`].
+    /// Runs in `O(n + m log m)`, or `O(n + m)` when the edges were added
+    /// in strictly increasing `(u, v)` order; duplicate edges are resolved
+    /// according to the configured [`DuplicateEdgePolicy`].
     pub fn build(self) -> Result<UncertainGraph> {
         let n = self.self_risk.len();
         let mut edges = self.edges;
         // Sort by (source, target) so the out-CSR has ordered targets, which
-        // `find_edge` relies on for binary search.
-        edges.sort_unstable_by_key(|a| (a.0, a.1));
+        // `find_edge` relies on for binary search. Edge lists written by
+        // this crate are already in strictly increasing order, and then
+        // the sort (a no-op on distinct keys) is skipped.
+        if !edges.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)) {
+            edges.sort_unstable_by_key(|a| (a.0, a.1));
+        }
 
         // Resolve duplicates in place.
         let mut resolved: Vec<(u32, u32, f64)> = Vec::with_capacity(edges.len());
@@ -179,6 +181,24 @@ impl GraphBuilder {
         debug_assert!(g.check_invariants().is_ok());
         Ok(g)
     }
+}
+
+/// Validates the edge `(u, v)` with diffusion probability `prob` for a
+/// graph of `n` nodes, as [`GraphBuilder::add_edge`] does, and returns
+/// the probability.
+pub(crate) fn check_edge(n: usize, u: u32, v: u32, prob: f64) -> Result<f64> {
+    let prob = check_probability(prob, "edge diffusion probability")?;
+    let len = n as u32;
+    if u >= len {
+        return Err(GraphError::NodeOutOfBounds { node: u, len });
+    }
+    if v >= len {
+        return Err(GraphError::NodeOutOfBounds { node: v, len });
+    }
+    if u == v {
+        return Err(GraphError::SelfLoop { node: u });
+    }
+    Ok(prob)
 }
 
 /// Builds a graph from parallel arrays: `self_risk[v]` for each node and

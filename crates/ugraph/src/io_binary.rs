@@ -24,7 +24,7 @@
 //! length is an error.
 
 use crate::builder::{DuplicateEdgePolicy, GraphBuilder};
-use crate::crc32::Crc32;
+use crate::crc32::{crc32, Crc32};
 use crate::error::{GraphError, Result};
 use crate::graph::UncertainGraph;
 use crate::ids::NodeId;
@@ -82,85 +82,72 @@ pub fn write_binary<W: Write>(g: &UncertainGraph, w: W) -> Result<()> {
     Ok(())
 }
 
-/// A reader shim that folds every read byte into a CRC-32.
-struct ChecksumReader<R: Read> {
-    inner: R,
-    crc: Crc32,
-}
-
-impl<R: Read> ChecksumReader<R> {
-    fn read_exact(&mut self, buf: &mut [u8]) -> std::io::Result<()> {
-        self.inner.read_exact(buf)?;
-        self.crc.update(buf);
-        Ok(())
-    }
-}
-
 /// Reads the binary form, validating magic, counts, probabilities, and
 /// — for revision-2 files — the trailing checksum. Trailer-less v1
 /// files are still accepted; any other trailing length is an error.
-pub fn read_binary<R: Read>(r: R) -> Result<UncertainGraph> {
-    let mut r = ChecksumReader { inner: r, crc: Crc32::new() };
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+/// The header's counts must fit `u32` ids and the input's length before
+/// anything is sized by them.
+pub fn read_binary<R: Read>(mut r: R) -> Result<UncertainGraph> {
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    if bytes.get(..MAGIC.len()) != Some(MAGIC) {
         return Err(bad("bad magic: not a vulnds binary graph"));
     }
-    let n = read_u64(&mut r)? as usize;
-    let m = read_u64(&mut r)? as usize;
-    // Sanity caps before allocating (corrupted headers must not OOM).
-    if n > (1 << 33) || m > (1 << 35) {
-        return Err(bad(format!("implausible header: n = {n}, m = {m}")));
+    let header = bytes.get(8..24).ok_or_else(|| bad("truncated header"))?;
+    let n = u64::from_le_bytes(word(&header[..8]));
+    let m = u64::from_le_bytes(word(&header[8..]));
+    if n > u64::from(u32::MAX) || m > u64::from(u32::MAX) {
+        return Err(bad(format!("implausible header: n = {n}, m = {m} overflow u32 ids")));
     }
+    let body = &bytes[24..];
+    let need = 8 * n + 16 * m;
+    if (body.len() as u64) < need {
+        return Err(bad(format!(
+            "implausible header: n = {n}, m = {m} need {need} bytes, {} follow",
+            body.len()
+        )));
+    }
+    let (n, m) = (n as usize, m as usize);
+    let (risks, body) = body.split_at(8 * n);
+    let (sources, body) = body.split_at(4 * m);
+    let (targets, body) = body.split_at(4 * m);
+    let (probs, tail) = body.split_at(8 * m);
 
     let mut b = GraphBuilder::new(n).with_duplicate_policy(DuplicateEdgePolicy::Error);
-    for v in 0..n as u32 {
-        let ps = read_f64(&mut r)?;
-        b.set_self_risk(NodeId(v), ps).map_err(|e| bad(e.to_string()))?;
+    for (v, ps) in risks.chunks_exact(8).enumerate() {
+        b.set_self_risk(NodeId(v as u32), f64::from_le_bytes(word(ps)))
+            .map_err(|e| bad(e.to_string()))?;
     }
-    let mut sources = Vec::with_capacity(m);
-    for _ in 0..m {
-        sources.push(read_u32(&mut r)?);
-    }
-    let mut targets = Vec::with_capacity(m);
-    for _ in 0..m {
-        targets.push(read_u32(&mut r)?);
-    }
-    for i in 0..m {
-        let p = read_f64(&mut r)?;
-        b.add_edge(NodeId(sources[i]), NodeId(targets[i]), p).map_err(|e| bad(e.to_string()))?;
+    let edges = sources.chunks_exact(4).zip(targets.chunks_exact(4)).zip(probs.chunks_exact(8));
+    for ((u, v), p) in edges {
+        let (u, v) = (u32::from_le_bytes(word(u)), u32::from_le_bytes(word(v)));
+        b.add_edge(NodeId(u), NodeId(v), f64::from_le_bytes(word(p)))
+            .map_err(|e| bad(e.to_string()))?;
     }
     // Everything after the edge section must be absent (legacy v1) or
-    // exactly the 5-byte trailer. Read up to one byte more than the
-    // trailer so concatenated files are caught too.
-    let mut tail = [0u8; TRAILER_LEN + 1];
-    let mut got = 0;
-    loop {
-        let k = r.inner.read(&mut tail[got..])?;
-        if k == 0 {
-            break;
-        }
-        got += k;
-        if got == tail.len() {
-            break;
-        }
-    }
-    match got {
+    // exactly the 5-byte trailer.
+    match tail.len() {
         0 => b.build(),
         TRAILER_LEN => {
             let version = tail[0];
             if version != BINARY_FORMAT_VERSION {
                 return Err(bad(format!("unsupported binary format version {version}")));
             }
-            r.crc.update(&tail[..1]);
-            let stored = u32::from_le_bytes([tail[1], tail[2], tail[3], tail[4]]);
-            if r.crc.finish() != stored {
+            let stored = u32::from_le_bytes(word(&tail[1..]));
+            if crc32(&bytes[..bytes.len() - 4]) != stored {
                 return Err(bad("checksum mismatch: snapshot is corrupt or truncated"));
             }
             b.build()
         }
         _ => Err(bad("trailing bytes after edge section")),
     }
+}
+
+/// Copies a little-endian field out of a slice of exactly `N` bytes.
+fn word<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    let mut out = [0; N];
+    out.copy_from_slice(bytes);
+    out
 }
 
 /// Saves to a file path in binary form.
@@ -171,26 +158,7 @@ pub fn save_binary(g: &UncertainGraph, path: impl AsRef<Path>) -> Result<()> {
 
 /// Loads from a file path in binary form.
 pub fn load_binary(path: impl AsRef<Path>) -> Result<UncertainGraph> {
-    let f = std::fs::File::open(path)?;
-    read_binary(std::io::BufReader::new(f))
-}
-
-fn read_u64<R: Read>(r: &mut ChecksumReader<R>) -> Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(u64::from_le_bytes(buf))
-}
-
-fn read_u32<R: Read>(r: &mut ChecksumReader<R>) -> Result<u32> {
-    let mut buf = [0u8; 4];
-    r.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_f64<R: Read>(r: &mut ChecksumReader<R>) -> Result<f64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(f64::from_le_bytes(buf))
+    read_binary(std::fs::File::open(path)?)
 }
 
 #[cfg(test)]
@@ -311,6 +279,39 @@ mod tests {
         buf.extend_from_slice(&0u64.to_le_bytes());
         let err = read_binary(std::io::Cursor::new(buf)).unwrap_err();
         assert!(err.to_string().contains("implausible"), "{err}");
+    }
+
+    #[test]
+    fn hostile_headers_are_rejected_before_allocating() {
+        // n = 2^33 overflows u32 ids; n = 2^20 and m = 2^20 are ids, but
+        // the empty body cannot hold them.
+        for (n, m, needle) in
+            [(1u64 << 33, 0u64, "overflow u32"), (1 << 20, 0, "need"), (0, 1 << 20, "need")]
+        {
+            let mut buf = MAGIC.to_vec();
+            buf.extend_from_slice(&n.to_le_bytes());
+            buf.extend_from_slice(&m.to_le_bytes());
+            assert_eq!(buf.len(), 24);
+            let err = read_binary(buf.as_slice()).unwrap_err();
+            assert!(matches!(err, GraphError::Parse { .. }), "{err:?}");
+            assert!(err.to_string().contains(needle), "{err}");
+        }
+    }
+
+    #[test]
+    fn mutated_inputs_give_a_graph_or_a_typed_error() {
+        use crate::testkit::{mutate, random_graph, TestRng};
+        let mut rng = TestRng::new(0xB1);
+        let mut valid = Vec::new();
+        write_binary(&random_graph(&mut rng, 12, 30), &mut valid).unwrap();
+        for _ in 0..1_500 {
+            let input = mutate(&mut rng, &valid);
+            if let Ok(g) = read_binary(input.as_slice()) {
+                let mut again = Vec::new();
+                write_binary(&g, &mut again).unwrap();
+                assert_eq!(read_binary(again.as_slice()).unwrap(), g);
+            }
+        }
     }
 
     #[test]

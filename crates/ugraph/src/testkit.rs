@@ -68,6 +68,32 @@ pub fn random_graph(rng: &mut TestRng, max_n: usize, max_m: usize) -> UncertainG
     from_parts(&risks, &edges, DuplicateEdgePolicy::KeepMax).expect("valid parts")
 }
 
+/// `input` after one random mutation, for decoder smoke tests: a bit
+/// flip, a truncation, or a splice that overwrites a random span with a
+/// random slice of `input` itself (so it shifts, repeats or drops
+/// well-formed pieces).
+pub fn mutate(rng: &mut TestRng, input: &[u8]) -> Vec<u8> {
+    let mut out = input.to_vec();
+    if out.is_empty() {
+        return out;
+    }
+    match rng.next_bounded(3) {
+        0 => {
+            let bit = rng.next_bounded(out.len() as u64 * 8);
+            out[(bit / 8) as usize] ^= 1 << (bit % 8);
+        }
+        1 => out.truncate(rng.range_usize(0, out.len() - 1)),
+        _ => {
+            let from = rng.range_usize(0, input.len());
+            let to = rng.range_usize(from, input.len());
+            let at = rng.range_usize(0, out.len());
+            let end = rng.range_usize(at, out.len());
+            out.splice(at..end, input[from..to].iter().copied());
+        }
+    }
+    out
+}
+
 /// Runs `cases` deterministic property cases: each case gets its own
 /// seeded [`TestRng`], and a panic inside the property is re-raised with
 /// the case number so it can be replayed in isolation.
@@ -103,6 +129,21 @@ mod tests {
             g.check_invariants().unwrap();
             assert!(g.num_nodes() >= 2);
         }
+    }
+
+    #[test]
+    fn mutate_is_deterministic_and_changes_the_input() {
+        let input = b"3 2\n0 0.1\n1 0.2\n2 0.3\n0 1 0.5\n1 2 0.25\n";
+        let (mut a, mut b) = (TestRng::new(9), TestRng::new(9));
+        let changed = (0..64)
+            .filter(|_| {
+                let out = mutate(&mut a, input);
+                assert_eq!(out, mutate(&mut b, input));
+                out != input
+            })
+            .count();
+        assert!(changed > 48, "only {changed} of 64 mutations changed the input");
+        assert!(mutate(&mut a, b"").is_empty());
     }
 
     #[test]
